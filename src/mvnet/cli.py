@@ -39,10 +39,13 @@ from .config import (
 from .data import DatasetError, load_dataset
 from .features import EmbeddingFileError
 from .model import view_stack_param_count
+from .numeric import NumericError
 from .training import build_model, evaluate, fit
 
+# NumericError covers a run that diverges: it names the op that first
+# produced a non-finite value.
 _USER_ERRORS = (ConfigError, DatasetError, EmbeddingFileError, CheckpointError,
-                MissingClassError, FileNotFoundError, ValueError)
+                MissingClassError, NumericError, FileNotFoundError, ValueError)
 
 
 def _utc_now() -> str:
@@ -384,7 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The tape checks every result and raises NumericError naming the
+        # op, so numpy's own overflow warnings would only repeat that report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,7 @@ and the seeded random sub-streams every component draws from."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,10 @@ class TrainConfig:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not (math.isfinite(self.lr_scale) and self.lr_scale >= 0.0):
+            raise ConfigError(f"lr_scale must be >= 0 and finite, got {self.lr_scale}")
         if self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if self.seed < 0:

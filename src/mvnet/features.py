@@ -14,12 +14,12 @@ from .numeric import (
     Tensor,
     add_rowvec,
     concat_rows,
+    linear,
     matmul,
     max_rows,
     reshape,
-    slice_rows,
     tanh_ew,
-    transpose,
+    unfold,
 )
 
 PAD_TOKEN = "<pad>"
@@ -161,28 +161,24 @@ def ngram_features(projected: Tensor, bank: ConvFilterBank,
                    pad_row: Tensor | None = None) -> list[Tensor]:
     """One pooled vector per n-gram order.
 
-    Each window of n consecutive projected rows is flattened, pushed through
-    the order's filter with tanh, and the results are max-pooled over window
-    positions. Texts shorter than n are right-padded with ``pad_row`` copies
-    to form a single window.
+    Each window of n consecutive projected rows is flattened (one ``unfold``
+    per order), pushed through the order's filter with tanh, and the results
+    are max-pooled over window positions. Texts shorter than n are
+    right-padded with ``pad_row`` copies to form a single window.
     """
     if projected.ndim != 2:
         raise ShapeError("ngram_features", f"expected a row matrix, got {projected.shape}")
-    rows, width = projected.shape
+    rows = projected.shape[0]
     pooled = []
     for order in NGRAM_ORDERS:
         weight, bias = bank.filters[order]
-        if rows >= order:
-            windows = [reshape(slice_rows(projected, p, p + order), (1, order * width))
-                       for p in range(rows - order + 1)]
-        else:
+        source = projected
+        if rows < order:
             if pad_row is None:
                 raise ShapeError("ngram_features",
                                  f"{rows} rows need a pad row to form an order-{order} window")
-            padded = concat_rows([projected] + [pad_row] * (order - rows))
-            windows = [reshape(padded, (1, order * width))]
-        stacked = windows[0] if len(windows) == 1 else concat_rows(windows)
-        activations = tanh_ew(add_rowvec(matmul(stacked, transpose(weight)), bias))
+            source = concat_rows([projected] + [pad_row] * (order - rows))
+        activations = tanh_ew(linear(unfold(source, order), weight, bias))
         pooled.append(max_rows(activations))
     return pooled
 

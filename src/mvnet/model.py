@@ -34,10 +34,9 @@ from .numeric import (
     Graph,
     ShapeError,
     Tensor,
-    add,
     concat_rows,
     gather_rows,
-    matmul,
+    linear,
     matvec,
     mul,
     softmax_vec,
@@ -82,7 +81,7 @@ class ViewBundle:
 
 def attention_scores(head: SelectionHead, feature_rows: Tensor) -> Tensor:
     """One raw score per feature row: score_vector . tanh(row_transform @ row)."""
-    hidden = tanh_ew(matmul(feature_rows, transpose(head.row_transform)))
+    hidden = tanh_ew(linear(feature_rows, head.row_transform))
     return matvec(hidden, head.score_vector)
 
 
@@ -139,10 +138,8 @@ def classify(views: list[Tensor], classifier: Classifier,
     if dropout_mask is not None:
         stacked = mul(stacked, stacked.graph.tensor(dropout_mask))
     if classifier.hidden_weight is not None:
-        hidden = tanh_ew(add(matvec(classifier.hidden_weight, stacked),
-                             classifier.hidden_bias))
-        return add(matvec(classifier.out_weight, hidden), classifier.out_bias)
-    return add(matvec(classifier.out_weight, stacked), classifier.out_bias)
+        stacked = tanh_ew(linear(stacked, classifier.hidden_weight, classifier.hidden_bias))
+    return linear(stacked, classifier.out_weight, classifier.out_bias)
 
 
 def view_stack_param_count(views: int, view_dim: int, variant: str) -> int:
@@ -170,51 +167,68 @@ def _init_vector(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=size)
 
 
+def parameter_layout(config: TrainConfig, vocab_size: int, num_classes: int,
+                     ) -> list[tuple[str, tuple[int, ...], str]]:
+    """Name, shape and initializer of every learnable array, in creation order.
+
+    The initializer is ``"embedding"``, ``"matrix"``, ``"vector"`` or
+    ``"zeros"``; see :func:`init_parameters`.
+    """
+    d = config.view_dim
+    a = config.resolved_attention_dim()
+    layout = [("embedding", (vocab_size, config.embed_dim), "embedding"),
+              ("projection.weight", (config.embed_dim, d), "matrix"),
+              ("projection.bias", (d,), "zeros")]
+    if config.conv_features:
+        for order in NGRAM_ORDERS:
+            layout.append((f"ngram{order}.filter", (d, order * d), "matrix"))
+            layout.append((f"ngram{order}.bias", (d,), "zeros"))
+    for i in range(1, config.views + 1):
+        layout.append((f"head{i}.row_transform", (a, d), "matrix"))
+        layout.append((f"head{i}.score_vector", (a,), "vector"))
+    if config.variant != VARIANT_NO_LINKS:
+        per_view_width = {VARIANT_FULL: (lambda i: i * d),
+                          VARIANT_CHAIN: (lambda i: 2 * d)}[config.variant]
+        for i in range(2, config.views):
+            layout.append((f"view{i}.combine", (d, per_view_width(i)), "matrix"))
+    joined = config.views * d
+    if config.two_layer_classifier:
+        hidden = config.resolved_hidden_dim()
+        layout.append(("classifier.hidden_weight", (hidden, joined), "matrix"))
+        layout.append(("classifier.hidden_bias", (hidden,), "zeros"))
+        layout.append(("classifier.out_weight", (num_classes, hidden), "matrix"))
+    else:
+        layout.append(("classifier.out_weight", (num_classes, joined), "matrix"))
+    layout.append(("classifier.out_bias", (num_classes,), "zeros"))
+    return layout
+
+
 def init_parameters(config: TrainConfig, vocab_size: int, num_classes: int,
                     rng: np.random.Generator,
                     embedding: np.ndarray | None = None,
                     ) -> "OrderedDict[str, np.ndarray]":
-    """All learnable arrays, keyed by name, in a fixed creation order.
+    """All learnable arrays, keyed by name, in :func:`parameter_layout` order.
 
     Weight matrices draw uniform from [-r, r] with r = sqrt(6 / (fan_in +
     fan_out)); biases start at zero; a missing embedding table is drawn
     uniform from [-0.05, 0.05].
     """
     config.validate()
-    d = config.view_dim
-    a = config.resolved_attention_dim()
     params: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    if embedding is not None:
-        embedding = np.ascontiguousarray(embedding, dtype=np.float64)
-        if embedding.shape != (vocab_size, config.embed_dim):
-            raise ValueError(f"embedding shape {embedding.shape} does not match "
-                             f"({vocab_size}, {config.embed_dim})")
-        params["embedding"] = embedding.copy()
-    else:
-        params["embedding"] = rng.uniform(-0.05, 0.05, size=(vocab_size, config.embed_dim))
-    params["projection.weight"] = _init_matrix(rng, config.embed_dim, d)
-    params["projection.bias"] = np.zeros(d)
-    if config.conv_features:
-        for order in NGRAM_ORDERS:
-            params[f"ngram{order}.filter"] = _init_matrix(rng, d, order * d)
-            params[f"ngram{order}.bias"] = np.zeros(d)
-    for i in range(1, config.views + 1):
-        params[f"head{i}.row_transform"] = _init_matrix(rng, a, d)
-        params[f"head{i}.score_vector"] = _init_vector(rng, a)
-    if config.variant != VARIANT_NO_LINKS:
-        per_view_width = {VARIANT_FULL: (lambda i: i * d),
-                          VARIANT_CHAIN: (lambda i: 2 * d)}[config.variant]
-        for i in range(2, config.views):
-            params[f"view{i}.combine"] = _init_matrix(rng, d, per_view_width(i))
-    joined = config.views * d
-    if config.two_layer_classifier:
-        hidden = config.resolved_hidden_dim()
-        params["classifier.hidden_weight"] = _init_matrix(rng, hidden, joined)
-        params["classifier.hidden_bias"] = np.zeros(hidden)
-        params["classifier.out_weight"] = _init_matrix(rng, num_classes, hidden)
-    else:
-        params["classifier.out_weight"] = _init_matrix(rng, num_classes, joined)
-    params["classifier.out_bias"] = np.zeros(num_classes)
+    for name, shape, init in parameter_layout(config, vocab_size, num_classes):
+        if init == "embedding" and embedding is not None:
+            embedding = np.ascontiguousarray(embedding, dtype=np.float64)
+            if embedding.shape != shape:
+                raise ValueError(f"embedding shape {embedding.shape} does not match {shape}")
+            params[name] = embedding.copy()
+        elif init == "embedding":
+            params[name] = rng.uniform(-0.05, 0.05, size=shape)
+        elif init == "matrix":
+            params[name] = _init_matrix(rng, *shape)
+        elif init == "vector":
+            params[name] = _init_vector(rng, *shape)
+        else:
+            params[name] = np.zeros(shape)
     return params
 
 

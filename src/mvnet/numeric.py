@@ -26,7 +26,8 @@ __all__ = [
     "tanh_ew",
     "softmax_vec",
     "concat_rows",
-    "slice_rows",
+    "unfold",
+    "linear",
     "reshape",
     "transpose",
     "max_rows",
@@ -304,21 +305,54 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return graph._record("concat_rows", out, tuple(parts), push)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) of a matrix (or elements of a vector)."""
-    if a.ndim not in (1, 2):
-        raise ShapeError("slice_rows", f"expected a vector or matrix, got {a.shape}")
-    rows = a.shape[0]
-    if not (0 <= start < stop <= rows):
-        raise ShapeError("slice_rows", f"range [{start}, {stop}) invalid for {rows} rows")
-    out = a.value[start:stop].copy()
+def unfold(a: Tensor, order: int) -> Tensor:
+    """Every window of ``order`` consecutive rows, flattened: (rows, d) ->
+    (rows - order + 1, order * d); window p is rows p..p+order-1 end to end."""
+    if a.ndim != 2:
+        raise ShapeError("unfold", f"expected a matrix, got {a.shape}")
+    rows, width = a.shape
+    if not 1 <= order <= rows:
+        raise ShapeError("unfold", f"order {order} invalid for {rows} rows")
+    count = rows - order + 1
+    # A window is one contiguous run of the row-major buffer, so the windows
+    # are every width-th slide of an order*width view over it.
+    flat = a.value.reshape(-1)
+    out = np.lib.stride_tricks.sliding_window_view(flat, order * width)[::width].copy()
 
     def push(grad):
         full = np.zeros_like(a.value)
-        full[start:stop] = grad
+        for k in range(order):
+            full[k:k + count] += grad[:, k * width:(k + 1) * width]
         _accum(a, full, own=True)
 
-    return a.graph._record("slice_rows", out, (a,), push)
+    return a.graph._record("unfold", out, (a,), push)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map x @ weight^T + bias of a row matrix (n, in) or a vector (in,)
+    with weight (out, in); ``bias`` (out,) is optional."""
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    graph = _graph_of("linear", *inputs)
+    if x.ndim not in (1, 2) or weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
+        raise ShapeError("linear", f"incompatible shapes {x.shape} and {weight.shape}")
+    if bias is not None and bias.shape != (weight.shape[0],):
+        raise ShapeError("linear", f"bias {bias.shape} does not match weight {weight.shape}")
+    out = x.value @ weight.value.T
+    if bias is not None:
+        out += bias.value
+
+    def push(grad):
+        _accum(x, grad @ weight.value, own=True)
+        if x.ndim == 1:
+            _accum(weight, np.outer(grad, x.value), own=True)
+            if bias is not None:
+                _accum(bias, grad)
+        else:
+            _accum(weight, grad.T @ x.value, own=True)
+            if bias is not None:
+                _accum(bias, grad.sum(axis=0), own=True)
+
+    return graph._record("linear", out, inputs, push)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -88,6 +88,13 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
     Every batch builds a single graph whose mean cross-entropy is pushed
     backward once; the trailing partial batch is used. Accuracy is measured
     on the train-mode logits as they are produced.
+
+    Tensors and their graph reference each other, so each batch's tape is
+    released by hand rather than left to the cyclic collector. A batch is
+    released once the next batch's backward pass has allocated its
+    gradients: freed then, its memory is reused by the next allocations,
+    whereas freed at the end of its own step it sits at the top of the heap,
+    is trimmed back to the OS and faulted in again by the next step.
     """
     if not dataset:
         raise ValueError("train_epoch: empty dataset")
@@ -96,6 +103,7 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
     mask_width = config.views * config.view_dim
     loss_total = 0.0
     correct = 0
+    previous = None
     for start in range(0, len(order), config.batch_size):
         batch = order[start:start + config.batch_size]
         graph = Graph()
@@ -113,11 +121,15 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
                 correct += 1
         batch_loss = mean_scalars(losses)
         graph.backward(batch_loss)
+        if previous is not None:
+            previous.nodes.clear()
+        previous = graph
         grads = {name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
                  for name, leaf in bound.leaves.items()}
         adadelta_step(model.params, grads, state,
                       config.lr_scale, config.rho, config.epsilon)
         loss_total += batch_loss.item() * len(batch)
+    previous.nodes.clear()
     count = len(dataset)
     return EpochStats(mean_loss=loss_total / count, accuracy=correct / count)
 

@@ -93,6 +93,45 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="truncat"):
             load_checkpoint(path)
 
+    def test_file_ending_inside_length_field_rejected(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes()[:len(MAGIC) + 3])
+        with pytest.raises(CheckpointError, match="truncated header length"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["tensors", "vocab", "config", "num_classes"])
+    def test_header_without_required_key_rejected(self, model, tmp_path, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda h: h.pop(key))
+        with pytest.raises(CheckpointError, match=f"lacks {key}"):
+            load_checkpoint(path)
+
+    def test_tensor_missing_from_layout_rejected(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+
+        def drop_out_bias(header):
+            header["tensors"] = [t for t in header["tensors"]
+                                 if t["name"] != "classifier.out_bias"]
+
+        # The out bias is the last tensor, so dropping its bytes too leaves a
+        # file whose tensor list and data agree with each other but not with
+        # the stored config.
+        path.write_bytes(raw[:-8 * model.num_classes])
+        rewrite_header(path, drop_out_bias)
+        with pytest.raises(CheckpointError, match="missing classifier.out_bias"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
     def test_unparseable_header_rejected(self, model, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)

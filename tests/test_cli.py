@@ -1,6 +1,7 @@
 """End-to-end command line coverage on a small synthetic task."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,27 @@ class TestErrorHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert "dropout" in err and ":2:" in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep-views"])
+    def test_diverging_run_reports_one_line(self, workspace, capsys, command):
+        diverging = workspace / "diverging.cfg"
+        diverging.write_text(TINY_CFG + "lr_scale = 1e300\n")
+        args = [command, "--config", str(diverging),
+                "--train", str(workspace / "train.tsv"),
+                "--dev", str(workspace / "dev.tsv"),
+                "--out", str(workspace / f"diverged-{command}")]
+        if command != "train":
+            args += ["--test", str(workspace / "test.tsv")]
+        if command == "sweep-views":
+            args += ["--views", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        assert code == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+        assert err.count("\n") == 1
 
     def test_unknown_variant_rejected_by_parser(self, workspace):
         with pytest.raises(SystemExit):

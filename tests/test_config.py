@@ -47,6 +47,8 @@ class TestValidation:
         ("views", 0), ("view_dim", 0), ("embed_dim", -3), ("batch_size", 0),
         ("dropout", 1.0), ("dropout", -0.1), ("rho", 1.5), ("epsilon", 0.0),
         ("max_epochs", 0), ("patience", -1), ("variant", "ring"), ("min_count", 0),
+        ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("lr_scale", float("nan")), ("lr_scale", -1.0),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

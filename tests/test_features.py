@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvnet.features import (
     ConvFilterBank,
@@ -152,21 +154,29 @@ class TestProjection:
 
 
 class TestNgramFeatures:
-    def test_pooled_vectors_match_window_oracle(self, rng):
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=30))
+    def test_pooled_vectors_match_window_oracle(self, length):
         width = 2
-        rows = rng.normal(size=(6, width))
+        rng = np.random.default_rng(length)
+        rows = rng.normal(size=(length, width))
+        pad = rng.normal(size=(1, width))
         g = Graph()
         filters = make_bank(g, width, rng)
-        pooled = ngram_features(g.tensor(rows), ConvFilterBank(filters))
+        pooled = ngram_features(g.tensor(rows), ConvFilterBank(filters),
+                                pad_row=g.tensor(pad))
         assert len(pooled) == len(NGRAM_ORDERS)
         for vector, order in zip(pooled, NGRAM_ORDERS):
             weight = filters[order][0].value
             bias = filters[order][1].value
+            # Texts shorter than the order are padded to a single window.
+            padded = np.vstack([rows] + [pad] * max(0, order - length))
             activations = np.array([
-                np.tanh(weight @ rows[p:p + order].reshape(-1) + bias)
-                for p in range(6 - order + 1)
+                np.tanh(weight @ padded[p:p + order].reshape(-1) + bias)
+                for p in range(len(padded) - order + 1)
             ])
-            np.testing.assert_allclose(vector.value, activations.max(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(vector.value, activations.max(axis=0),
+                                       rtol=1e-12, atol=1e-15)
 
     def test_short_text_uses_single_padded_window(self, rng):
         width = 2

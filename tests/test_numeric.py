@@ -21,6 +21,7 @@ from mvnet.numeric import (
     cross_entropy,
     finite_diff_check,
     gather_rows,
+    linear,
     matmul,
     matvec,
     max_rows,
@@ -28,11 +29,11 @@ from mvnet.numeric import (
     mul,
     reshape,
     scale,
-    slice_rows,
     softmax_vec,
     sum_all,
     tanh_ew,
     transpose,
+    unfold,
 )
 
 def _leaf(graph, array):
@@ -59,6 +60,29 @@ class TestForwardOracles:
         g = Graph()
         out = matvec(_leaf(g, a), _leaf(g, x))
         np.testing.assert_allclose(out.value, expected, rtol=0, atol=1e-14)
+
+    def test_unfold_matches_window_loop(self, rng):
+        a = rng.normal(size=(5, 3))
+        expected = np.array([np.concatenate([a[p + k] for k in range(3)])
+                             for p in range(5 - 3 + 1)])
+        g = Graph()
+        out = unfold(_leaf(g, a), 3)
+        assert out.shape == (3, 9)
+        np.testing.assert_array_equal(out.value, expected)
+
+    def test_linear_matches_loop(self, rng):
+        x = rng.normal(size=(3, 4))
+        w = rng.normal(size=(2, 4))
+        b = rng.normal(size=2)
+        expected = np.array([[sum(x[i, k] * w[j, k] for k in range(4)) + b[j]
+                              for j in range(2)] for i in range(3)])
+        g = Graph()
+        rows = linear(_leaf(g, x), _leaf(g, w), _leaf(g, b))
+        np.testing.assert_allclose(rows.value, expected, rtol=0, atol=1e-14)
+        vector = linear(_leaf(g, x[1]), _leaf(g, w), _leaf(g, b))
+        np.testing.assert_allclose(vector.value, expected[1], rtol=0, atol=1e-14)
+        unbiased = linear(_leaf(g, x), _leaf(g, w))
+        np.testing.assert_allclose(unbiased.value, expected - b, rtol=0, atol=1e-14)
 
     def test_softmax_matches_direct_formula(self):
         x = np.array([0.5, -1.0, 2.0, 0.0])
@@ -153,12 +177,14 @@ class TestBackwardOracles:
         grads = g.backward(sum_all(max_rows(a)))
         np.testing.assert_array_equal(grads[a], [[1.0, 0.0], [0.0, 1.0]])
 
-    def test_slice_rows_routes_gradient_into_window(self):
+    def test_unfold_routes_gradient_to_every_window(self):
+        # Order-2 windows of 4 rows: the end rows sit in one window each,
+        # the middle rows in two.
         g = Graph()
         a = _leaf(g, np.arange(8.0).reshape(4, 2))
-        grads = g.backward(sum_all(slice_rows(a, 1, 3)))
+        grads = g.backward(sum_all(unfold(a, 2)))
         np.testing.assert_array_equal(
-            grads[a], [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+            grads[a], [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
 
     def test_unreached_leaf_gets_zero_gradient(self):
         g = Graph()
@@ -189,6 +215,27 @@ class TestErrors:
         g = Graph()
         with pytest.raises(ShapeError):
             matmul(_leaf(g, np.ones((2, 3))), _leaf(g, np.ones((2, 3))))
+
+    @pytest.mark.parametrize("shape,order", [
+        ((3, 2), 0), ((3, 2), 4), ((6,), 2), ((2, 2, 2), 1),
+    ])
+    def test_unfold_rejects_bad_order_or_shape(self, shape, order):
+        with pytest.raises(ShapeError, match="unfold"):
+            unfold(_leaf(Graph(), np.ones(shape)), order)
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((2, 3), (4, 2), (4,)),     # inner widths differ
+        ((3,), (4, 2), None),       # vector width differs
+        ((2, 3), (3,), None),       # weight is not a matrix
+        ((2, 2, 3), (4, 3), None),  # input is neither a vector nor a matrix
+        ((2, 3), (4, 3), (3,)),     # bias does not match the output width
+        ((3,), (4, 3), (4, 1)),     # bias is not a vector
+    ])
+    def test_linear_rejects_bad_shapes(self, x_shape, w_shape, b_shape):
+        g = Graph()
+        bias = None if b_shape is None else _leaf(g, np.ones(b_shape))
+        with pytest.raises(ShapeError, match="linear"):
+            linear(_leaf(g, np.ones(x_shape)), _leaf(g, np.ones(w_shape)), bias)
 
     def test_cross_graph_operands_rejected(self):
         a = _leaf(Graph(), np.ones((2, 2)))
@@ -246,8 +293,7 @@ class TestProperties:
         stacked = concat_rows([g.tensor(b) for b in blocks])
         start = 0
         for block in blocks:
-            window = slice_rows(stacked, start, start + block.shape[0])
-            np.testing.assert_array_equal(window.value, block)
+            np.testing.assert_array_equal(stacked.value[start:start + block.shape[0]], block)
             start += block.shape[0]
 
     @settings(max_examples=25)
@@ -293,14 +339,43 @@ class TestFiniteDifferences:
         params = {
             "table": rng.normal(size=(5, 3)),
             "w": rng.normal(size=(3, 3)) * 0.5,
+            "filter": rng.normal(size=(3, 6)) * 0.5,
+            "b": rng.normal(size=3) * 0.5,
         }
 
         def build(graph, leaves):
             rows = gather_rows(leaves["table"], [0, 2, 2, 4])
             h = tanh_ew(matmul(rows, leaves["w"]))
-            flat = reshape(slice_rows(h, 0, 2), (6,))
+            windows = tanh_ew(linear(unfold(h, 2), leaves["filter"], leaves["b"]))
+            flat = reshape(windows, (9,))
             top = max_rows(transpose(h))
-            return add(sum_all(flat), cross_entropy(top, 1))
+            return add(sum_all(mul(flat, flat)), cross_entropy(top, 1))
+
+        assert finite_diff_check(build, params) < 1e-6
+
+    @pytest.mark.parametrize("rows,order", [(4, 1), (4, 2), (4, 4), (1, 1)])
+    def test_unfold_passes_finite_differences(self, rng, rows, order):
+        params = {"a": rng.normal(size=(rows, 3)),
+                  "c": rng.normal(size=(rows - order + 1, order * 3))}
+
+        def build(graph, leaves):
+            # A weighted sum of squares gives every output entry its own
+            # gradient, so a window routed to the wrong row shows up.
+            out = unfold(leaves["a"], order)
+            return sum_all(mul(mul(out, out), leaves["c"]))
+
+        assert finite_diff_check(build, params) < 1e-8
+
+    @pytest.mark.parametrize("x_shape,biased", [
+        ((3, 4), True), ((4,), True), ((3, 4), False), ((4,), False),
+    ])
+    def test_linear_passes_finite_differences(self, rng, x_shape, biased):
+        params = {"x": rng.normal(size=x_shape), "w": rng.normal(size=(2, 4)) * 0.5}
+        if biased:
+            params["b"] = rng.normal(size=2)
+
+        def build(graph, leaves):
+            return sum_all(tanh_ew(linear(leaves["x"], leaves["w"], leaves.get("b"))))
 
         assert finite_diff_check(build, params) < 1e-6
 

@@ -1,12 +1,14 @@
 """Optimizer oracles, dropout sampling, metrics, and the fit loop."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from mvnet.config import TrainConfig
+from mvnet.numeric import Tensor
 from mvnet.training import (
     AdadeltaState,
     RngStreams,
@@ -18,6 +20,10 @@ from mvnet.training import (
     sample_dropout_mask,
     train_epoch,
 )
+
+
+def _live_tensors() -> int:
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
 
 
 def reference_adadelta_scalar(x, grad_fn, steps, lr, rho, eps):
@@ -167,6 +173,25 @@ class TestTrainEpoch:
         assert stats.mean_loss > 0.0
         changed = any(not np.array_equal(before[k], model.params[k]) for k in before)
         assert changed
+
+    def test_batch_tapes_are_freed_without_the_cyclic_collector(self, tiny_corpus,
+                                                                 tiny_config):
+        # With the collector off, a tensor outlives train_epoch only if its
+        # batch graph was left in a reference cycle.
+        train, _, _ = tiny_corpus
+        config = dataclasses.replace(tiny_config, conv_features=True, dropout=0.2)
+        model = build_model(config, train)
+        streams = RngStreams.from_seed(config.seed)
+        state = AdadeltaState.for_params(model.params)
+        gc.collect()
+        gc.disable()
+        try:
+            before = _live_tensors()
+            train_epoch(model, train, config, streams, state)
+            after = _live_tensors()
+        finally:
+            gc.enable()
+        assert after == before
 
     def test_empty_dataset_rejected(self, tiny_config):
         model_source = [  # one doc is enough to build the model itself
