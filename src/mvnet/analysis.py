@@ -10,7 +10,6 @@ import numpy as np
 
 from .config import TrainConfig
 from .model import MvnModel
-from .numeric import Graph
 from .training import build_model, compute_metrics, evaluate, fit
 
 VARIANCE_FLOOR_SCALE = 1e-9
@@ -35,16 +34,15 @@ class ViewDataset:
 
 
 def extract_view_representations(model: MvnModel, dataset) -> ViewDataset:
-    """Eval-mode view vectors for every document."""
+    """Eval-mode view vectors for every document, from forward passes in
+    batches of ``config.batch_size``."""
     if not dataset:
         raise ValueError("extract_view_representations: empty dataset")
-    stacks = []
-    labels = []
-    for doc in dataset:
-        _, bundle = model.forward(Graph(), doc, mode="eval")
-        stacks.append(np.stack([v.value for v in bundle.views]))
-        labels.append(doc.label)
-    return ViewDataset(vectors=np.stack(stacks), labels=np.array(labels, dtype=np.intp))
+    stacks = [np.stack([v.value for v in views], axis=1)
+              for _, _, views in model.eval_batches(dataset)]
+    labels = [doc.label for doc in dataset]
+    return ViewDataset(vectors=np.concatenate(stacks),
+                       labels=np.array(labels, dtype=np.intp))
 
 
 @dataclass

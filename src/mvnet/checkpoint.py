@@ -4,6 +4,7 @@ float64 tensor bytes. Round trips are bit-exact."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from collections import OrderedDict
@@ -12,6 +13,7 @@ import numpy as np
 
 from .config import ConfigError, config_from_dict, config_to_dict
 from .features import PAD_TOKEN, UNK_TOKEN, Vocabulary
+from .files import atomic_open
 from .model import MvnModel, parameter_layout
 
 MAGIC = b"MVNCKPT1"
@@ -23,6 +25,8 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, model: MvnModel) -> None:
+    """Write the model to ``path``, replacing any previous file only once the
+    new one is complete."""
     header = {
         "format_version": FORMAT_VERSION,
         "config": config_to_dict(model.config),
@@ -32,7 +36,7 @@ def save_checkpoint(path, model: MvnModel) -> None:
                     for name, array in model.params.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
+    with atomic_open(path, "wb") as handle:
         handle.write(MAGIC)
         handle.write(struct.pack("<Q", len(blob)))
         handle.write(blob)
@@ -73,7 +77,13 @@ def _read_header(handle, path) -> dict:
 
 def load_checkpoint(path) -> MvnModel:
     """Read a checkpoint, checking its header and tensor layout against the
-    layout its stored config, vocabulary and class count imply."""
+    layout its stored config, vocabulary and class count imply.
+
+    The layout is walked one tensor at a time and may not need more bytes
+    than the file has left, so no header, however large the sizes it
+    declares, makes the loader allocate more than the file holds. Tensors
+    with NaN or infinite entries are rejected.
+    """
     with open(path, "rb") as handle:
         header = _read_header(handle, path)
         tokens = header["vocab"]
@@ -87,24 +97,38 @@ def load_checkpoint(path) -> MvnModel:
             raise CheckpointError(f"{path}: bad class count {num_classes!r}")
         try:
             config = config_from_dict(header["config"])
-            layout = [(name, shape) for name, shape, _ in
-                      parameter_layout(config, len(tokens), num_classes)]
         except (ConfigError, TypeError) as exc:
             raise CheckpointError(f"{path}: bad config: {exc}") from None
-        expected = [{"name": name, "shape": list(shape)} for name, shape in layout]
-        if header["tensors"] != expected:
-            stored = header["tensors"] if isinstance(header["tensors"], list) else []
-            names = {e.get("name") for e in stored if isinstance(e, dict)}
-            absent = [name for name, _ in layout if name not in names]
-            detail = f"missing {', '.join(absent)}" if absent else "names or shapes differ"
-            raise CheckpointError(f"{path}: tensors do not match the stored config: {detail}")
+        stored = header["tensors"]
+        if not isinstance(stored, list):
+            stored = []
+        left = os.fstat(handle.fileno()).st_size - handle.tell()
+        layout = []
+        needed = 0
+        for name, shape, _ in parameter_layout(config, len(tokens), num_classes):
+            entry = {"name": name, "shape": list(shape)}
+            if len(layout) == len(stored) or stored[len(layout)] != entry:
+                names = {e.get("name") for e in stored if isinstance(e, dict)}
+                detail = f"missing {name}" if name not in names else f"{name} differs"
+                raise CheckpointError(
+                    f"{path}: tensors do not match the stored config: {detail}")
+            needed += 8 * math.prod(shape)
+            if needed > left:
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            layout.append((name, shape))
+        if len(layout) != len(stored):
+            raise CheckpointError(f"{path}: tensors do not match the stored config: "
+                                  f"{len(stored) - len(layout)} extra")
+        if needed != left:
+            raise CheckpointError(f"{path}: trailing bytes after the last tensor")
         params: "OrderedDict[str, np.ndarray]" = OrderedDict()
         for name, shape in layout:
-            count = int(np.prod(shape, dtype=np.int64))
-            raw = _read_exact(handle, count * 8, path, f"tensor {name!r}")
-            params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        if handle.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the last tensor")
+            raw = _read_exact(handle, 8 * math.prod(shape), path, f"tensor {name!r}")
+            array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(array).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds NaN or "
+                                      f"infinite values")
+            params[name] = array
     vocab = Vocabulary(tokens=list(tokens),
                        index={t: i for i, t in enumerate(tokens)})
     return MvnModel(config, vocab, num_classes, params)

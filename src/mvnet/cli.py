@@ -38,6 +38,7 @@ from .config import (
 )
 from .data import DatasetError, load_dataset
 from .features import EmbeddingFileError
+from .files import atomic_open
 from .model import view_stack_param_count
 from .numeric import NumericError
 from .training import build_model, evaluate, fit
@@ -61,7 +62,7 @@ def _sha256(path) -> str:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -148,7 +149,7 @@ def cmd_train(args) -> int:
     checkpoint_path = out / "model.ckpt"
     save_checkpoint(checkpoint_path, model)
     curve_path = out / "curve.jsonl"
-    with open(curve_path, "w", encoding="utf-8") as handle:
+    with atomic_open(curve_path) as handle:
         for record in result.curve:
             handle.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
     manifest.add_output("checkpoint", checkpoint_path)
@@ -245,7 +246,7 @@ def cmd_ablate(args) -> int:
     report_path = out / "ablation.json"
     _write_json(report_path, {"rows": rows})
     csv_path = out / "ablation.csv"
-    with open(csv_path, "w", encoding="utf-8") as handle:
+    with atomic_open(csv_path) as handle:
         handle.write("name,test_accuracy\n")
         for row in rows:
             handle.write(f"{row['name']},{row['test_accuracy']!r}\n")
@@ -269,7 +270,7 @@ def cmd_sweep_views(args) -> int:
                           f"views={row.views}  dev_acc={row.dev_accuracy:.4f}  "
                           f"test_acc={row.test_accuracy:.4f}"))
     csv_path = out / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8") as handle:
+    with atomic_open(csv_path) as handle:
         handle.write("views,dev_accuracy,test_accuracy\n")
         for row in rows:
             handle.write(f"{row.views},{row.dev_accuracy!r},{row.test_accuracy!r}\n")
@@ -302,7 +303,7 @@ def cmd_analyze_views(args) -> int:
     _write_json(json_path, {"views": model.config.views, "classes": classes,
                             "f1": matrix.tolist()})
     csv_path = out / "view_f1.csv"
-    with open(csv_path, "w", encoding="utf-8") as handle:
+    with atomic_open(csv_path) as handle:
         handle.write("view," + ",".join(f"class{c}" for c in range(classes)) + "\n")
         for i in range(model.config.views):
             handle.write(f"{i + 1}," + ",".join(repr(v) for v in matrix[i]) + "\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,14 @@ class TrainConfig:
         return max(1, (self.views * self.view_dim) // 2)
 
     def validate(self) -> None:
+        sizes = ("views", "view_dim", "embed_dim", "batch_size", "max_epochs",
+                 "min_count", "patience", "seed")
+        for name in sizes + ("attention_dim", "hidden_dim"):
+            value = getattr(self, name)
+            if value is None and name not in sizes:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.views < 1:
             raise ConfigError(f"views must be >= 1, got {self.views}")
         for name in ("view_dim", "embed_dim", "batch_size", "max_epochs", "min_count"):

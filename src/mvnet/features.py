@@ -158,33 +158,43 @@ def project(rows: Tensor, proj: Projection) -> Tensor:
 
 
 def ngram_features(projected: Tensor, bank: ConvFilterBank,
-                   pad_row: Tensor | None = None) -> list[Tensor]:
-    """One pooled vector per n-gram order.
+                   lengths: np.ndarray | None = None) -> list[Tensor]:
+    """One pooled vector per n-gram order, for one text (rows, d) or for
+    each text of a padded batch (B, T, d).
 
     Each window of n consecutive projected rows is flattened (one ``unfold``
     per order), pushed through the order's filter with tanh, and the results
-    are max-pooled over window positions. Texts shorter than n are
-    right-padded with ``pad_row`` copies to form a single window.
+    are max-pooled over window positions. The rows past a text's length (its
+    entry in ``lengths``; None means no text is padded) must be projected pad
+    rows. They fill the single window of a text shorter than n and are
+    masked out of every other text's pool, so the row count must reach the
+    largest order.
     """
-    if projected.ndim != 2:
-        raise ShapeError("ngram_features", f"expected a row matrix, got {projected.shape}")
-    rows = projected.shape[0]
+    if projected.ndim not in (2, 3):
+        raise ShapeError("ngram_features",
+                         f"expected rows or a batch of rows, got {projected.shape}")
+    rows = projected.shape[-2]
+    if rows < max(NGRAM_ORDERS):
+        raise ShapeError("ngram_features",
+                         f"{rows} rows are fewer than the order-{max(NGRAM_ORDERS)} "
+                         f"window; pad the text with pad rows")
     pooled = []
     for order in NGRAM_ORDERS:
         weight, bias = bank.filters[order]
-        source = projected
-        if rows < order:
-            if pad_row is None:
-                raise ShapeError("ngram_features",
-                                 f"{rows} rows need a pad row to form an order-{order} window")
-            source = concat_rows([projected] + [pad_row] * (order - rows))
-        activations = tanh_ew(linear(unfold(source, order), weight, bias))
-        pooled.append(max_rows(activations))
+        valid = None
+        if lengths is not None:
+            # Window p is valid while it ends inside the text; a short text
+            # keeps its first window.
+            last = np.maximum(np.asarray(lengths) - order, 0)
+            valid = np.arange(rows - order + 1) <= np.expand_dims(last, -1)
+        activations = tanh_ew(linear(unfold(projected, order), weight, bias))
+        pooled.append(max_rows(activations, valid))
     return pooled
 
 
 def augment_features(projected: Tensor, ngram_vectors: Sequence[Tensor]) -> Tensor:
-    """Stack the pooled n-gram vectors under the projected word rows."""
-    width = projected.shape[1]
-    extra = [reshape(v, (1, width)) for v in ngram_vectors]
-    return concat_rows([projected, *extra])
+    """Stack the pooled n-gram vectors under the projected word rows of each
+    text: (..., T, d) and n vectors (..., d) give (..., T + n, d)."""
+    row_shape = projected.shape[:-2] + (1, projected.shape[-1])
+    extra = [reshape(v, row_shape) for v in ngram_vectors]
+    return concat_rows([projected, *extra], axis=projected.ndim - 2)

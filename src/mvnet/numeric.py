@@ -1,14 +1,22 @@
 """Dense float64 tensors on a recorded computation graph, with reverse-mode gradients.
 
-Values are numpy arrays. Every operation appends a node to the owning
-:class:`Graph`, so the node list is already topologically ordered; backward
-walks it in reverse creation order and accumulates gradients in that fixed
-order, which keeps repeated runs bit-identical.
+Values are numpy arrays. Every leaf, and every operation result that needs
+a gradient, is appended as a node to the owning :class:`Graph`, so the node
+list is already topologically ordered; backward walks it in reverse creation
+order and accumulates gradients in that fixed order, which keeps repeated
+runs bit-identical. A result that needs no gradient stays off the tape and
+is freed as soon as nothing uses it.
+
+The structural ops accept leading batch axes, so one graph can carry a whole
+mini-batch of padded documents; the ops that reduce over rows (``softmax_vec``,
+``max_rows``) take a validity mask that keeps padding out of the result
+without ever recording an infinite value.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,15 +133,23 @@ class Graph:
         if requires:
             node._inputs = inputs
             node._push = push
-        self.nodes.append(node)
+            self.nodes.append(node)
         return node
+
+    def release(self) -> None:
+        """Drop the recorded nodes. Every node refers back to its graph, so a
+        whole graph is a reference cycle that only the cyclic collector
+        frees; released, its tensors go as soon as nothing else holds them."""
+        self.nodes.clear()
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """Push gradients from a scalar loss back through the graph.
 
         Returns the gradient of every requires_grad leaf (zeros when the loss
         does not depend on it). Grad slots are cleared first, so calling
-        backward twice on the same graph gives bit-identical results.
+        backward twice on the same graph gives bit-identical results. An
+        inner node's gradient is dropped once it has been pushed to the
+        node's inputs, so only the leaves keep theirs.
         """
         if loss.graph is not self:
             raise NumericError("backward: loss belongs to a different graph")
@@ -146,6 +162,7 @@ class Graph:
             if node.grad is None or node._push is None:
                 continue
             node._push(node.grad)
+            node.grad = None
         grads: dict[Tensor, np.ndarray] = {}
         for node in self.nodes:
             if node.op == "leaf" and node.requires_grad:
@@ -177,31 +194,43 @@ def _graph_of(op: str, *tensors: Tensor) -> Graph:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; backward is dA = G @ B^T, dB = A^T @ G."""
+    """Matrix product of ``a`` (..., m, n), leading batch axes allowed, with
+    one matrix ``b`` (n, k); backward is dA = G @ B^T, dB = A^T @ G summed
+    over the batch."""
     graph = _graph_of("matmul", a, b)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim < 2 or b.ndim != 2:
         raise ShapeError("matmul", f"expected two matrices, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", f"inner dimensions differ: {a.shape} x {b.shape}")
-    out = a.value @ b.value
+    out = (a.value.reshape(-1, b.shape[0]) @ b.value).reshape(a.shape[:-1] + b.shape[1:])
 
     def push(grad):
-        _accum(a, grad @ b.value.T, own=True)
-        _accum(b, a.value.T @ grad, own=True)
+        flat = grad.reshape(-1, b.shape[1])
+        _accum(a, (flat @ b.value.T).reshape(a.shape), own=True)
+        _accum(b, a.value.reshape(-1, b.shape[0]).T @ flat, own=True)
 
     return graph._record("matmul", out, (a, b), push)
 
 
 def matvec(a: Tensor, x: Tensor) -> Tensor:
-    """Matrix-vector product (m, n) @ (n,) -> (m,)."""
+    """Matrix-vector product (..., m, n) @ (n,) -> (..., m). ``x`` may instead
+    carry the leading axes of ``a``, one vector (..., n) per matrix."""
     graph = _graph_of("matvec", a, x)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
+    batched = x.ndim > 1
+    if (a.ndim < 2 or x.ndim < 1 or a.shape[-1] != x.shape[-1]
+            or (batched and x.shape[:-1] != a.shape[:-2])):
         raise ShapeError("matvec", f"incompatible shapes {a.shape} and {x.shape}")
-    out = a.value @ x.value
+    if batched:
+        out = (a.value @ x.value[..., None])[..., 0]
+    else:
+        out = a.value @ x.value
 
     def push(grad):
-        _accum(a, np.outer(grad, x.value), own=True)
-        _accum(x, a.value.T @ grad, own=True)
+        _accum(a, grad[..., None] * x.value[..., None, :], own=True)
+        if batched:
+            _accum(x, (grad[..., None, :] @ a.value)[..., 0, :], own=True)
+        else:
+            _accum(x, a.value.reshape(-1, x.shape[0]).T @ grad.reshape(-1), own=True)
 
     return graph._record("matvec", out, (a, x), push)
 
@@ -220,15 +249,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_rowvec(a: Tensor, b: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix."""
+    """Add a vector to every row of a matrix (leading batch axes allowed)."""
     graph = _graph_of("add_rowvec", a, b)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 1 or a.shape[-1] != b.shape[0]:
         raise ShapeError("add_rowvec", f"incompatible shapes {a.shape} and {b.shape}")
     out = a.value + b.value
 
     def push(grad):
         _accum(a, grad)
-        _accum(b, grad.sum(axis=0), own=True)
+        _accum(b, grad.reshape(-1, b.shape[0]).sum(axis=0), own=True)
 
     return graph._record("add_rowvec", out, (a, b), push)
 
@@ -267,90 +296,107 @@ def tanh_ew(a: Tensor) -> Tensor:
     return a.graph._record("tanh_ew", out, (a,), push)
 
 
-def softmax_vec(a: Tensor) -> Tensor:
-    """Numerically stable softmax of a vector (max subtracted before exp)."""
-    if a.ndim != 1 or a.size < 1:
-        raise ShapeError("softmax_vec", f"expected a nonempty vector, got {a.shape}")
-    shifted = np.exp(a.value - a.value.max())
-    out = shifted / shifted.sum()
+def softmax_vec(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Numerically stable softmax over the last axis (max subtracted before
+    exp). ``mask``, boolean and of ``a``'s shape, marks the valid entries:
+    the others get weight exactly 0; every vector needs one valid entry."""
+    if a.ndim < 1 or a.shape[-1] < 1:
+        raise ShapeError("softmax_vec", f"expected nonempty vectors, got {a.shape}")
+    values = a.value
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape or not mask.any(axis=-1).all():
+            raise ShapeError("softmax_vec", f"mask {mask.shape} does not leave a "
+                                            f"valid entry in every vector of {a.shape}")
+        values = np.where(mask, values, -np.inf)  # exp sends the padding to 0
+    shifted = np.exp(values - values.max(axis=-1, keepdims=True))
+    out = shifted / shifted.sum(axis=-1, keepdims=True)
 
     def push(grad):
         # dx = y * (g - <g, y>)
-        _accum(a, out * (grad - float(grad @ out)), own=True)
+        _accum(a, out * (grad - (grad * out).sum(axis=-1, keepdims=True)), own=True)
 
     return a.graph._record("softmax_vec", out, (a,), push)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the leading axis; vectors chain, matrices stack rows."""
+def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Concatenate along ``axis``. The default leading axis chains vectors
+    and stacks matrix rows; under a leading batch axis, ``axis=1`` stacks
+    each example's rows and ``axis=-1`` chains its vectors."""
     parts = list(parts)
     if not parts:
         raise ShapeError("concat_rows", "empty part list")
     graph = _graph_of("concat_rows", *parts)
     first = parts[0]
-    if first.ndim not in (1, 2):
-        raise ShapeError("concat_rows", f"expected vectors or matrices, got {first.shape}")
+    if not -first.ndim <= axis < first.ndim:
+        raise ShapeError("concat_rows", f"axis {axis} invalid for parts of shape {first.shape}")
+    axis %= first.ndim
+
+    def others(shape):
+        return shape[:axis] + shape[axis + 1:]
+
     for p in parts[1:]:
-        if p.ndim != first.ndim or p.shape[1:] != first.shape[1:]:
+        if p.ndim != first.ndim or others(p.shape) != others(first.shape):
             raise ShapeError(
                 "concat_rows",
                 f"incompatible part shapes {[tuple(q.shape) for q in parts]}")
-    out = np.concatenate([p.value for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    out = np.concatenate([p.value for p in parts], axis=axis)
+    offsets = list(accumulate((p.shape[axis] for p in parts), initial=0))
+    lead = (slice(None),) * axis
 
     def push(grad):
         for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            _accum(p, grad[lo:hi])
+            _accum(p, grad[lead + (slice(lo, hi),)])
 
     return graph._record("concat_rows", out, tuple(parts), push)
 
 
 def unfold(a: Tensor, order: int) -> Tensor:
-    """Every window of ``order`` consecutive rows, flattened: (rows, d) ->
-    (rows - order + 1, order * d); window p is rows p..p+order-1 end to end."""
-    if a.ndim != 2:
+    """Every window of ``order`` consecutive rows, flattened: (..., rows, d) ->
+    (..., rows - order + 1, order * d); window p is rows p..p+order-1 end to
+    end, taken separately under each leading batch index."""
+    if a.ndim < 2:
         raise ShapeError("unfold", f"expected a matrix, got {a.shape}")
-    rows, width = a.shape
+    rows, width = a.shape[-2:]
     if not 1 <= order <= rows:
         raise ShapeError("unfold", f"order {order} invalid for {rows} rows")
     count = rows - order + 1
-    # A window is one contiguous run of the row-major buffer, so the windows
-    # are every width-th slide of an order*width view over it.
-    flat = a.value.reshape(-1)
-    out = np.lib.stride_tricks.sliding_window_view(flat, order * width)[::width].copy()
+    # Window p chains rows p, p+1, ..., so the k-th row block of every
+    # window is the matrix shifted up by k rows.
+    out = np.concatenate([a.value[..., k:k + count, :] for k in range(order)], axis=-1)
 
     def push(grad):
         full = np.zeros_like(a.value)
         for k in range(order):
-            full[k:k + count] += grad[:, k * width:(k + 1) * width]
+            full[..., k:k + count, :] += grad[..., k * width:(k + 1) * width]
         _accum(a, full, own=True)
 
     return a.graph._record("unfold", out, (a,), push)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map x @ weight^T + bias of a row matrix (n, in) or a vector (in,)
-    with weight (out, in); ``bias`` (out,) is optional."""
+    """Affine map x @ weight^T + bias of rows x (..., in), a vector or rows
+    under any leading axes, with weight (out, in); ``bias`` (out,) is
+    optional. All rows go through one matrix product."""
     inputs = (x, weight) if bias is None else (x, weight, bias)
     graph = _graph_of("linear", *inputs)
-    if x.ndim not in (1, 2) or weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
+    if x.ndim < 1 or weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
         raise ShapeError("linear", f"incompatible shapes {x.shape} and {weight.shape}")
     if bias is not None and bias.shape != (weight.shape[0],):
         raise ShapeError("linear", f"bias {bias.shape} does not match weight {weight.shape}")
-    out = x.value @ weight.value.T
+    size_out, size_in = weight.shape
+    rows = x.value.reshape(-1, size_in)
+    out = rows @ weight.value.T
     if bias is not None:
         out += bias.value
+    out = out.reshape(x.shape[:-1] + (size_out,))
 
     def push(grad):
-        _accum(x, grad @ weight.value, own=True)
-        if x.ndim == 1:
-            _accum(weight, np.outer(grad, x.value), own=True)
-            if bias is not None:
-                _accum(bias, grad)
-        else:
-            _accum(weight, grad.T @ x.value, own=True)
-            if bias is not None:
-                _accum(bias, grad.sum(axis=0), own=True)
+        flat = grad.reshape(-1, size_out)
+        _accum(x, (flat @ weight.value).reshape(x.shape), own=True)
+        _accum(weight, flat.T @ rows, own=True)
+        if bias is not None:
+            _accum(bias, flat.sum(axis=0), own=True)
 
     return graph._record("linear", out, inputs, push)
 
@@ -368,37 +414,51 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
+    """Swap the last two axes: every matrix of a batch is transposed."""
+    if a.ndim < 2:
         raise ShapeError("transpose", f"expected a matrix, got {a.shape}")
-    out = a.value.T.copy()
+    out = a.value.swapaxes(-1, -2).copy()
 
     def push(grad):
-        _accum(a, grad.T)
+        _accum(a, grad.swapaxes(-1, -2))
 
     return a.graph._record("transpose", out, (a,), push)
 
 
-def max_rows(a: Tensor) -> Tensor:
-    """Columnwise maximum over rows; gradient flows to the first maximal row."""
-    if a.ndim != 2 or a.shape[0] < 1:
+def max_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Columnwise maximum over the rows of each matrix (..., rows, d) ->
+    (..., d); gradient flows to the first maximal row. ``mask`` (..., rows),
+    boolean, marks the rows that may win; every matrix needs one."""
+    if a.ndim < 2 or a.shape[-2] < 1:
         raise ShapeError("max_rows", f"expected a nonempty matrix, got {a.shape}")
-    winners = np.argmax(a.value, axis=0)  # first max per column: deterministic subgradient
-    cols = np.arange(a.shape[1])
-    out = a.value[winners, cols]
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape[:-1] or not mask.any(axis=-1).all():
+            raise ShapeError("max_rows", f"mask {mask.shape} does not leave a "
+                                         f"valid row in every matrix of {a.shape}")
+
+    def candidates():
+        return a.value if mask is None else np.where(mask[..., None], a.value, -np.inf)
+
+    out = candidates().max(axis=-2)
 
     def push(grad):
+        # first max per column: deterministic subgradient
+        winners = np.argmax(candidates(), axis=-2)[..., None, :]
         full = np.zeros_like(a.value)
-        full[winners, cols] = grad
+        np.put_along_axis(full, winners, grad[..., None, :], axis=-2)
         _accum(a, full, own=True)
 
     return a.graph._record("max_rows", out, (a,), push)
 
 
-def gather_rows(a: Tensor, indices: Iterable[int]) -> Tensor:
-    """Select rows by index, repeats allowed; backward scatter-adds."""
-    if a.ndim != 2:
-        raise ShapeError("gather_rows", f"expected a matrix, got {a.shape}")
-    idx = np.asarray(list(indices), dtype=np.intp)
+def gather_rows(a: Tensor, indices) -> Tensor:
+    """Select rows of ``a`` by an index array of any shape, repeats allowed:
+    the result has shape ``indices.shape + a.shape[1:]``; backward
+    scatter-adds."""
+    if a.ndim < 1:
+        raise ShapeError("gather_rows", f"expected rows, got {a.shape}")
+    idx = np.asarray(indices, dtype=np.intp)
     if idx.size == 0:
         raise ShapeError("gather_rows", "empty index list")
     if (idx < 0).any() or (idx >= a.shape[0]).any():
@@ -407,30 +467,38 @@ def gather_rows(a: Tensor, indices: Iterable[int]) -> Tensor:
 
     def push(grad):
         full = np.zeros_like(a.value)
-        np.add.at(full, idx, grad)
+        np.add.at(full, idx.reshape(-1), grad.reshape((-1,) + a.shape[1:]))
         _accum(a, full, own=True)
 
     return a.graph._record("gather_rows", out, (a,), push)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Scalar loss log-sum-exp(logits) - logits[label], computed stably."""
-    if logits.ndim != 1 or logits.size < 1:
-        raise ShapeError("cross_entropy", f"expected a logit vector, got {logits.shape}")
-    label = int(label)
-    n = logits.size
-    if not 0 <= label < n:
-        raise ValueError(f"cross_entropy: label {label} out of range for {n} classes")
-    peak = logits.value.max()
-    lse = peak + np.log(np.exp(logits.value - peak).sum())
-    probs = np.exp(logits.value - lse)
-    out = np.asarray(lse - logits.value[label])
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the rows of a (B, classes) logit block of the loss
+    log-sum-exp(row) - row[label], computed stably; ``labels`` holds B class
+    indices. A logit vector with one integer label is the B = 1 case."""
+    if logits.ndim not in (1, 2) or logits.size < 1:
+        raise ShapeError("cross_entropy", f"expected logit rows, got {logits.shape}")
+    n = logits.shape[-1]
+    rows = logits.value.reshape(-1, n)
+    count = rows.shape[0]
+    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+    if labels.shape != (count,):
+        raise ShapeError("cross_entropy", f"{labels.size} labels for {count} logit rows")
+    bad = labels[(labels < 0) | (labels >= n)]
+    if bad.size:
+        raise ValueError(f"cross_entropy: label {int(bad[0])} out of range for {n} classes")
+    picked = np.arange(count), labels
+    peak = rows.max(axis=1, keepdims=True)
+    lse = peak + np.log(np.exp(rows - peak).sum(axis=1, keepdims=True))
+    probs = np.exp(rows - lse)
+    out = np.asarray((lse[:, 0] - rows[picked]).sum() / count)
 
     def push(grad):
         d = probs.copy()
-        d[label] -= 1.0
-        d *= float(grad)
-        _accum(logits, d, own=True)
+        d[picked] -= 1.0
+        d *= float(grad) / count
+        _accum(logits, d.reshape(logits.shape), own=True)
 
     return logits.graph._record("cross_entropy", out, (logits,), push)
 

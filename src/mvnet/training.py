@@ -4,7 +4,6 @@ evaluation metrics and early-stopping model selection."""
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,9 @@ import numpy as np
 from .config import TrainConfig, seed_stream
 from .features import build_vocab, init_embeddings, load_embeddings
 from .model import MvnModel
-from .numeric import Graph, cross_entropy, mean_scalars
+# mean_scalars has no caller here any more; it stays importable from this
+# module because the traced benchmark run (perfbench/layers.py) wraps it.
+from .numeric import Graph, NumericError, cross_entropy, mean_scalars  # noqa: F401
 
 
 @dataclass
@@ -53,9 +54,11 @@ def adadelta_step(params, grads, state: AdadeltaState, lr_scale: float,
     return params, state
 
 
-def sample_dropout_mask(rng: np.random.Generator, size: int,
+def sample_dropout_mask(rng: np.random.Generator, size,
                         rate: float) -> np.ndarray:
-    """Inverted-dropout mask: zero with probability ``rate``, else 1/(1-rate)."""
+    """Inverted-dropout mask of ``size`` (an int or a shape): zero with
+    probability ``rate``, else 1/(1-rate). A (B, n) draw is the B draws of n
+    made one after another from the same stream."""
     if rate <= 0.0:
         return np.ones(size)
     keep = rng.random(size) >= rate
@@ -85,9 +88,11 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
                 streams: RngStreams, state: AdadeltaState) -> EpochStats:
     """One pass over the shuffled data in mini-batches.
 
-    Every batch builds a single graph whose mean cross-entropy is pushed
-    backward once; the trailing partial batch is used. Accuracy is measured
-    on the train-mode logits as they are produced.
+    Every batch runs as one padded forward pass on a single graph, with one
+    (B, V * d) dropout draw, and its mean cross-entropy is pushed backward
+    once; the trailing partial batch is used. Accuracy is measured on the
+    train-mode logits as they are produced. A ``NumericError`` names the
+    batch, counted from 1.
 
     Tensors and their graph reference each other, so each batch's tape is
     released by hand rather than left to the cyclic collector. A batch is
@@ -104,32 +109,33 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
     loss_total = 0.0
     correct = 0
     previous = None
-    for start in range(0, len(order), config.batch_size):
-        batch = order[start:start + config.batch_size]
+    for number, start in enumerate(range(0, len(order), config.batch_size), start=1):
+        docs = [dataset[int(index)] for index in order[start:start + config.batch_size]]
+        labels = np.array([doc.label for doc in docs])
         graph = Graph()
         bound = model.bind(graph)
-        losses = []
-        for index in batch:
-            doc = dataset[int(index)]
-            mask = None
-            if config.dropout > 0.0:
-                mask = sample_dropout_mask(streams.dropout, mask_width, config.dropout)
-            logits, _ = model.forward(graph, doc, mode="train",
-                                      dropout_mask=mask, bound=bound)
-            losses.append(cross_entropy(logits, doc.label))
-            if int(np.argmax(logits.value)) == doc.label:
-                correct += 1
-        batch_loss = mean_scalars(losses)
-        graph.backward(batch_loss)
+        mask = None
+        if config.dropout > 0.0:
+            mask = sample_dropout_mask(streams.dropout, (len(docs), mask_width),
+                                       config.dropout)
+        try:
+            logits, _ = model.forward_batch(graph, docs, mode="train",
+                                            dropout_mask=mask, bound=bound)
+            batch_loss = cross_entropy(logits, labels)
+            graph.backward(batch_loss)
+        except NumericError as exc:
+            exc.args = (f"batch {number}: {exc}",)
+            raise
+        correct += int((np.argmax(logits.value, axis=1) == labels).sum())
         if previous is not None:
-            previous.nodes.clear()
+            previous.release()
         previous = graph
         grads = {name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
                  for name, leaf in bound.leaves.items()}
         adadelta_step(model.params, grads, state,
                       config.lr_scale, config.rho, config.epsilon)
-        loss_total += batch_loss.item() * len(batch)
-    previous.nodes.clear()
+        loss_total += batch_loss.item() * len(docs)
+    previous.release()
     count = len(dataset)
     return EpochStats(mean_loss=loss_total / count, accuracy=correct / count)
 
@@ -178,17 +184,17 @@ def compute_metrics(golds, preds, num_classes: int) -> EvalResult:
 
 
 def evaluate(model: MvnModel, dataset) -> EvalResult:
-    """Eval-mode accuracy, mean cross-entropy, and per-class metrics."""
+    """Eval-mode accuracy, mean cross-entropy, and per-class metrics, from
+    forward passes in batches of ``config.batch_size``."""
     if not dataset:
         raise ValueError("evaluate: empty dataset")
     golds, preds = [], []
     loss_total = 0.0
-    for doc in dataset:
-        graph = Graph()
-        logits, _ = model.forward(graph, doc, mode="eval")
-        loss_total += cross_entropy(logits, doc.label).item()
-        golds.append(doc.label)
-        preds.append(int(np.argmax(logits.value)))
+    for docs, logits, _ in model.eval_batches(dataset):
+        labels = [doc.label for doc in docs]
+        loss_total += cross_entropy(logits, labels).item() * len(docs)
+        golds.extend(labels)
+        preds.extend(np.argmax(logits.value, axis=1).tolist())
     result = compute_metrics(golds, preds, model.num_classes)
     return dataclasses.replace(result, mean_loss=loss_total / len(dataset))
 
@@ -207,7 +213,6 @@ class EpochRecord:
 
 @dataclass
 class FitResult:
-    best_params: "OrderedDict[str, np.ndarray]"
     best_epoch: int
     best_dev_accuracy: float
     best_dev_loss: float
@@ -221,7 +226,8 @@ def fit(model: MvnModel, train_set, dev_set, config: TrainConfig,
     Best means highest dev accuracy, ties broken by lower dev loss. Training
     stops once the count of epochs since the last improvement reaches
     ``patience`` (so patience 0 runs exactly one epoch), or at ``max_epochs``.
-    The model is left holding the best parameters.
+    The model is left holding the best parameters. A ``NumericError`` names
+    the epoch, counted from 1.
     """
     if not train_set or not dev_set:
         raise ValueError("fit: empty train or dev set")
@@ -234,8 +240,12 @@ def fit(model: MvnModel, train_set, dev_set, config: TrainConfig,
     stale = 0
     curve: list[EpochRecord] = []
     for epoch in range(1, config.max_epochs + 1):
-        stats = train_epoch(model, train_set, config, streams, state)
-        dev = evaluate(model, dev_set)
+        try:
+            stats = train_epoch(model, train_set, config, streams, state)
+            dev = evaluate(model, dev_set)
+        except NumericError as exc:
+            exc.args = (f"epoch {epoch}, {exc}",)
+            raise
         record = EpochRecord(epoch=epoch, train_loss=stats.mean_loss,
                              dev_loss=dev.mean_loss, dev_accuracy=dev.accuracy)
         curve.append(record)
@@ -253,8 +263,8 @@ def fit(model: MvnModel, train_set, dev_set, config: TrainConfig,
             stale += 1
         if stale >= config.patience:
             break
-    model.params = OrderedDict((k, v.copy()) for k, v in best_params.items())
-    return FitResult(best_params=best_params, best_epoch=best_epoch,
+    model.params = best_params
+    return FitResult(best_epoch=best_epoch,
                      best_dev_accuracy=best_accuracy, best_dev_loss=best_loss,
                      curve=curve)
 

@@ -1,10 +1,14 @@
 """Checkpoint container round trips and corruption handling."""
 
 import json
+import os
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvnet.checkpoint import (
     CheckpointError,
@@ -13,7 +17,10 @@ from mvnet.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from mvnet.config import TrainConfig
 from mvnet.data import LabeledDocument
+from mvnet.files import atomic_open
+from mvnet.model import MvnModel
 from mvnet.training import build_model
 
 
@@ -151,6 +158,130 @@ class TestCorruption:
         rewrite_header(path, swap_pad)
         with pytest.raises(CheckpointError, match="vocab"):
             load_checkpoint(path)
+
+
+    def test_huge_view_count_fails_fast_and_small(self, model, tmp_path):
+        # The layout a config implies is walked only as far as the stored
+        # tensor list and the file's bytes reach.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda h: h["config"].update(views=10**6))
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(CheckpointError, match="tensors do not match"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert time.perf_counter() - started < 5.0
+
+    def test_huge_declared_tensor_is_never_allocated(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        width = 10**9
+
+        def widen_embedding(header):
+            header["config"]["embed_dim"] = width
+            for entry in header["tensors"]:
+                if entry["name"] == "embedding":
+                    entry["shape"][1] = width
+                elif entry["name"] == "projection.weight":
+                    entry["shape"][0] = width
+
+        rewrite_header(path, widen_embedding)
+        with pytest.raises(CheckpointError, match="truncated tensor 'embedding'"):
+            load_checkpoint(path)
+
+    def test_fractional_size_in_config_rejected(self, model, tmp_path):
+        # 12.0 == 12, so the tensor list still matches; the size must be
+        # refused before it reaches a read or a reshape.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda h: h["config"].update(
+            embed_dim=float(h["config"]["embed_dim"])))
+        with pytest.raises(CheckpointError, match="embed_dim must be an integer"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, model, tmp_path, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        # The out bias is the last tensor.
+        path.write_bytes(raw[:-8] + np.array([value], dtype="<f8").tobytes())
+        with pytest.raises(CheckpointError, match="'classifier.out_bias'.*NaN or infinite"):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tiny_corpus, tmp_path_factory):
+    """A small two-view checkpoint with n-gram rows, its bytes and some
+    documents to score."""
+    train, _, test = tiny_corpus
+    config = TrainConfig(views=2, view_dim=4, embed_dim=4, conv_features=True, seed=3)
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(path, build_model(config, train))
+    return path, path.read_bytes(), test[:3]
+
+
+class TestFuzzedCheckpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_flipped_or_truncated_file_loads_or_is_rejected(self, saved_checkpoint, data):
+        # The only outcomes allowed: CheckpointError, or a model that predicts.
+        path, raw, docs = saved_checkpoint
+        if data.draw(st.booleans(), label="truncate"):
+            mutated = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1), label="offset")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+            mutated = raw[:at] + bytes([byte]) + raw[at + 1:]
+        broken = path.with_name("mutated.ckpt")
+        broken.write_bytes(mutated)
+        try:
+            loaded = load_checkpoint(broken)
+        except CheckpointError:
+            return
+        # A finite but vast weight may overflow an intermediate step that the
+        # result does not keep; the CLI silences numpy's warnings the same way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for doc in docs:
+                assert 0 <= loaded.predict(doc) < loaded.num_classes
+
+
+class TestAtomicWrites:
+    def test_failed_save_keeps_the_previous_checkpoint(self, model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+        params = model.copy_params()
+        # The last tensor cannot be converted, so the save fails after the
+        # header and every other tensor have been written.
+        params["classifier.out_bias"] = np.array(["x"] * model.num_classes)
+        broken = MvnModel(model.config, model.vocab, model.num_classes, params)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_failed_text_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text("previous\n")
+        with pytest.raises(TypeError):
+            with atomic_open(path) as handle:
+                json.dump({"ok": 1, "bad": object()}, handle)
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["metrics.json"]
+
+    def test_write_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "curve.jsonl"
+        path.write_text("old\n")
+        with atomic_open(path) as handle:
+            handle.write("new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["curve.jsonl"]
 
 
 class TestRobustness:

@@ -1,6 +1,7 @@
 """End-to-end command line coverage on a small synthetic task."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -243,6 +244,7 @@ class TestErrorHandling:
         assert not caught
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err
+        assert re.match(r"error: epoch 1, batch \d+: \w+: ", err), err
         assert err.count("\n") == 1
 
     def test_unknown_variant_rejected_by_parser(self, workspace):

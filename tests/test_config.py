@@ -49,6 +49,7 @@ class TestValidation:
         ("max_epochs", 0), ("patience", -1), ("variant", "ring"), ("min_count", 0),
         ("epsilon", float("nan")), ("epsilon", float("inf")),
         ("lr_scale", float("nan")), ("lr_scale", -1.0),
+        ("views", 2.0), ("embed_dim", True), ("hidden_dim", 8.5),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = ["01_make_data.py", "02_autodiff.py", "03_features.py", "04_attention_views.py"]
+DEMOS = ["01_make_data.py", "02_autodiff.py", "03_features.py", "04_attention_views.py",
+         "05_train_synthetic.py", "06_view_analysis.py"]
 
 
 @pytest.mark.parametrize("script", DEMOS)

@@ -155,28 +155,34 @@ class TestProjection:
 
 class TestNgramFeatures:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=1, max_value=30))
-    def test_pooled_vectors_match_window_oracle(self, length):
+    @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4))
+    def test_pooled_vectors_match_window_oracle(self, lengths):
+        # A padded batch: every text runs to the longest one (at least the
+        # widest window) with copies of the pad row.
         width = 2
-        rng = np.random.default_rng(length)
-        rows = rng.normal(size=(length, width))
+        rng = np.random.default_rng(sum(lengths))
+        texts = [rng.normal(size=(length, width)) for length in lengths]
         pad = rng.normal(size=(1, width))
+        rows = max(max(lengths), max(NGRAM_ORDERS))
+        batch = np.stack([np.vstack([t] + [pad] * (rows - len(t))) for t in texts])
         g = Graph()
         filters = make_bank(g, width, rng)
-        pooled = ngram_features(g.tensor(rows), ConvFilterBank(filters),
-                                pad_row=g.tensor(pad))
+        pooled = ngram_features(g.tensor(batch), ConvFilterBank(filters),
+                                np.array(lengths))
         assert len(pooled) == len(NGRAM_ORDERS)
         for vector, order in zip(pooled, NGRAM_ORDERS):
+            assert vector.shape == (len(lengths), width)
             weight = filters[order][0].value
             bias = filters[order][1].value
-            # Texts shorter than the order are padded to a single window.
-            padded = np.vstack([rows] + [pad] * max(0, order - length))
-            activations = np.array([
-                np.tanh(weight @ padded[p:p + order].reshape(-1) + bias)
-                for p in range(len(padded) - order + 1)
-            ])
-            np.testing.assert_allclose(vector.value, activations.max(axis=0),
-                                       rtol=1e-12, atol=1e-15)
+            for text, row in zip(texts, vector.value):
+                # Texts shorter than the order are padded to a single window.
+                padded = np.vstack([text] + [pad] * max(0, order - len(text)))
+                activations = np.array([
+                    np.tanh(weight @ padded[p:p + order].reshape(-1) + bias)
+                    for p in range(len(padded) - order + 1)
+                ])
+                np.testing.assert_allclose(row, activations.max(axis=0),
+                                           rtol=1e-12, atol=1e-15)
 
     def test_short_text_uses_single_padded_window(self, rng):
         width = 2
@@ -184,8 +190,8 @@ class TestNgramFeatures:
         pad = rng.normal(size=(1, width))
         g = Graph()
         filters = make_bank(g, width, rng)
-        pooled = ngram_features(g.tensor(rows), ConvFilterBank(filters),
-                                pad_row=g.tensor(pad))
+        padded_rows = np.vstack([rows] + [pad] * (max(NGRAM_ORDERS) - 2))
+        pooled = ngram_features(g.tensor(padded_rows), ConvFilterBank(filters), 2)
         for vector, order in zip(pooled, NGRAM_ORDERS):
             weight = filters[order][0].value
             bias = filters[order][1].value

@@ -5,12 +5,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvnet.config import TrainConfig, VARIANT_CHAIN, VARIANT_FULL, VARIANT_NO_LINKS
+from mvnet.config import (
+    TrainConfig,
+    VARIANT_CHAIN,
+    VARIANT_FULL,
+    VARIANT_NO_LINKS,
+    VARIANTS,
+)
 from mvnet.data import LabeledDocument
 from mvnet.features import Vocabulary, build_vocab
 from mvnet.model import MvnModel, init_parameters, view_stack_param_count
 from mvnet.numeric import Graph, cross_entropy, finite_diff_check
+from mvnet.training import sample_dropout_mask
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 
@@ -257,6 +265,67 @@ class TestGradients:
             return cross_entropy(logits, doc.label)
 
         assert finite_diff_check(build, model.params) < 1e-4
+
+
+class TestBatchedForward:
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
+           variant=st.sampled_from(VARIANTS), conv=st.booleans(),
+           two_layer=st.booleans(), seed=st.integers(min_value=0, max_value=2**16))
+    def test_batch_matches_one_document_passes(self, lengths, variant, conv,
+                                               two_layer, seed):
+        # The padded batch must give each document its own logits, and the
+        # batch-mean loss the mean of the one-document gradients.
+        rng = np.random.default_rng(seed)
+        model = make_model(views=4, view_dim=5, embed_dim=4, dropout=0.3,
+                           variant=variant, conv_features=conv,
+                           two_layer_classifier=two_layer)
+        words = WORDS + ["unseen"]
+        docs = [LabeledDocument(label=int(rng.integers(model.num_classes)),
+                                tokens=[words[i] for i in rng.integers(len(words), size=n)],
+                                raw="") for n in lengths]
+        masks = sample_dropout_mask(rng, (len(docs), 4 * 5), model.config.dropout)
+
+        graph = Graph()
+        bound = model.bind(graph)
+        logits, _ = model.forward_batch(graph, docs, mode="train",
+                                        dropout_mask=masks, bound=bound)
+        graph.backward(cross_entropy(logits, [doc.label for doc in docs]))
+
+        expected = {name: np.zeros_like(array) for name, array in model.params.items()}
+        for row, (doc, mask) in enumerate(zip(docs, masks)):
+            single_graph = Graph()
+            single_bound = model.bind(single_graph)
+            single, _ = model.forward(single_graph, doc, mode="train",
+                                      dropout_mask=mask, bound=single_bound)
+            np.testing.assert_allclose(logits.value[row], single.value,
+                                       rtol=1e-12, atol=1e-15)
+            single_graph.backward(cross_entropy(single, doc.label))
+            for name, leaf in single_bound.leaves.items():
+                expected[name] += leaf.grad / len(docs)
+        for name, leaf in bound.leaves.items():
+            np.testing.assert_allclose(leaf.grad, expected[name], rtol=1e-12,
+                                       atol=1e-15, err_msg=name)
+
+    def test_views_do_not_depend_on_the_batch(self):
+        model = make_model()
+        docs = [make_doc(n) for n in (1, 8, 3)]
+        _, batched = model.forward_batch(Graph(), docs)
+        for row, doc in enumerate(docs):
+            _, bundle = model.forward(Graph(), doc)
+            for block, view in zip(batched, bundle.views):
+                np.testing.assert_allclose(block.value[row], view.value,
+                                           rtol=1e-12, atol=1e-15)
+
+    def test_padding_gets_no_attention(self):
+        model = make_model()
+        _, bundle = model.forward(Graph(), make_doc(2))
+        for weights in bundle.attention:
+            assert weights.value.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="no documents"):
+            make_model().forward_batch(Graph(), [])
 
 
 class TestPredict:

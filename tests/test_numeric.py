@@ -210,6 +210,83 @@ class TestBackwardOracles:
         assert first == second
 
 
+class TestBatchesAndMasks:
+    def test_masked_softmax_ignores_padding(self, rng):
+        scores = rng.normal(size=(2, 5)) * 50.0
+        mask = np.array([[True] * 5, [True, True, False, False, False]])
+        out = softmax_vec(Graph().tensor(scores), mask).value
+        for row, valid in zip(range(2), mask):
+            kept = np.exp(scores[row][valid] - scores[row][valid].max())
+            np.testing.assert_allclose(out[row][valid], kept / kept.sum(), rtol=1e-13)
+        assert (out[1, 2:] == 0.0).all()
+
+    def test_masked_softmax_gradient_skips_padding(self, rng):
+        g = Graph()
+        x = _leaf(g, rng.normal(size=(1, 4)))
+        mask = np.array([[True, False, True, False]])
+        y = softmax_vec(x, mask)
+        grads = g.backward(sum_all(mul(y, g.tensor(rng.normal(size=(1, 4))))))
+        assert (grads[x][~mask] == 0.0).all()
+
+    def test_masked_max_rows_ignores_invalid_rows(self):
+        g = Graph()
+        a = _leaf(g, [[[1.0, 9.0], [5.0, 2.0], [7.0, 8.0]]])
+        out = max_rows(a, np.array([[True, True, False]]))
+        np.testing.assert_array_equal(out.value, [[5.0, 9.0]])
+        grads = g.backward(sum_all(out))
+        np.testing.assert_array_equal(grads[a], [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
+
+    @pytest.mark.parametrize("op", [softmax_vec, max_rows])
+    def test_mask_must_leave_a_valid_entry(self, op):
+        a = Graph().tensor(np.ones((2, 3, 2)) if op is max_rows else np.ones((2, 3)))
+        mask = np.array([[True, False, False], [False, False, False]])
+        with pytest.raises(ShapeError, match="valid"):
+            op(a, mask)
+
+    def test_gather_rows_takes_an_index_array_of_any_shape(self):
+        g = Graph()
+        table = _leaf(g, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = gather_rows(table, np.array([[2, 0], [0, 0]]))
+        assert out.shape == (2, 2, 2)
+        np.testing.assert_array_equal(out.value[0, 0], [5.0, 6.0])
+        grads = g.backward(sum_all(out))
+        np.testing.assert_array_equal(grads[table], [[3.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
+
+    def test_batched_ops_match_each_example(self, rng):
+        g = Graph()
+        batch = rng.normal(size=(3, 5, 2))
+        weight = g.tensor(rng.normal(size=(4, 4)))
+        windows = linear(unfold(g.tensor(batch), 2), weight)
+        for example, result in zip(batch, windows.value):
+            alone = linear(unfold(g.tensor(example), 2), weight).value
+            np.testing.assert_allclose(result, alone, rtol=1e-14)
+
+    def test_results_without_a_gradient_stay_off_the_tape(self):
+        g = Graph()
+        x = g.tensor(np.ones(3))
+        w = _leaf(g, np.ones(3))
+        z = mul(tanh_ew(x), w)
+        assert g.nodes == [x, w, z]
+
+    def test_cross_entropy_of_a_batch_is_the_mean(self, rng):
+        logits = rng.normal(size=(3, 4))
+        labels = [0, 3, 1]
+        g = Graph()
+        batch = cross_entropy(g.tensor(logits), labels).item()
+        single = [cross_entropy(g.tensor(row), label).item()
+                  for row, label in zip(logits, labels)]
+        assert batch == pytest.approx(sum(single) / 3, rel=1e-14)
+
+    def test_cross_entropy_needs_one_label_per_row(self):
+        with pytest.raises(ShapeError, match="labels"):
+            cross_entropy(Graph().tensor(np.zeros((3, 2))), [0, 1])
+
+    def test_concat_along_the_last_axis_chains_batched_vectors(self):
+        g = Graph()
+        out = concat_rows([g.tensor(np.ones((2, 3))), g.tensor(np.zeros((2, 1)))], axis=-1)
+        np.testing.assert_array_equal(out.value, [[1, 1, 1, 0], [1, 1, 1, 0]])
+
+
 class TestErrors:
     def test_matmul_shape_mismatch(self):
         g = Graph()
@@ -217,7 +294,7 @@ class TestErrors:
             matmul(_leaf(g, np.ones((2, 3))), _leaf(g, np.ones((2, 3))))
 
     @pytest.mark.parametrize("shape,order", [
-        ((3, 2), 0), ((3, 2), 4), ((6,), 2), ((2, 2, 2), 1),
+        ((3, 2), 0), ((3, 2), 4), ((6,), 2), ((), 1),
     ])
     def test_unfold_rejects_bad_order_or_shape(self, shape, order):
         with pytest.raises(ShapeError, match="unfold"):
@@ -227,7 +304,7 @@ class TestErrors:
         ((2, 3), (4, 2), (4,)),     # inner widths differ
         ((3,), (4, 2), None),       # vector width differs
         ((2, 3), (3,), None),       # weight is not a matrix
-        ((2, 2, 3), (4, 3), None),  # input is neither a vector nor a matrix
+        ((), (4, 3), None),         # input is a scalar, not rows
         ((2, 3), (4, 3), (3,)),     # bias does not match the output width
         ((3,), (4, 3), (4, 1)),     # bias is not a vector
     ])
@@ -376,6 +453,32 @@ class TestFiniteDifferences:
 
         def build(graph, leaves):
             return sum_all(tanh_ew(linear(leaves["x"], leaves["w"], leaves.get("b"))))
+
+        assert finite_diff_check(build, params) < 1e-6
+
+    def test_batched_masked_ops_pass_finite_differences(self, rng):
+        # A padded batch of two "documents" of 4 and 2 rows through every
+        # op that takes a batch axis or a mask.
+        rows_valid = np.array([[True] * 4, [True, True, False, False]])
+        windows_valid = np.array([[True, True, True], [True, False, False]])
+        params = {
+            "table": rng.normal(size=(5, 3)),
+            "w": rng.normal(size=(3, 3)) * 0.5,
+            "b": rng.normal(size=3) * 0.5,
+            "filter": rng.normal(size=(3, 6)) * 0.5,
+            "score": rng.normal(size=3),
+            "out": rng.normal(size=(3, 6)) * 0.5,
+        }
+
+        def build(graph, leaves):
+            rows = gather_rows(leaves["table"], [[0, 2, 2, 4], [1, 3, 0, 0]])
+            h = tanh_ew(add_rowvec(matmul(rows, leaves["w"]), leaves["b"]))
+            pooled = max_rows(tanh_ew(linear(unfold(h, 2), leaves["filter"])),
+                              windows_valid)
+            weights = softmax_vec(matvec(h, leaves["score"]), rows_valid)
+            selected = matvec(transpose(h), weights)
+            joined = concat_rows([pooled, selected], axis=-1)
+            return cross_entropy(linear(joined, leaves["out"]), [2, 0])
 
         assert finite_diff_check(build, params) < 1e-6
 

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from mvnet.analysis import extract_view_representations
 from mvnet.config import TrainConfig
-from mvnet.numeric import Tensor
+from mvnet.numeric import Graph, NumericError, Tensor
 from mvnet.training import (
     AdadeltaState,
     RngStreams,
@@ -192,6 +193,59 @@ class TestTrainEpoch:
         finally:
             gc.enable()
         assert after == before
+
+    def test_scoring_frees_its_tapes_without_the_cyclic_collector(self, tiny_corpus,
+                                                                  tiny_config):
+        train, _, test = tiny_corpus
+        config = dataclasses.replace(tiny_config, conv_features=True)
+        model = build_model(config, train)
+        gc.collect()
+        gc.disable()
+        try:
+            before = _live_tensors()
+            evaluate(model, test[:30])
+            after_evaluate = _live_tensors()
+            extract_view_representations(model, test[:30])
+            after_extract = _live_tensors()
+            for doc in test[:10]:
+                model.predict(doc)
+            after_predict = _live_tensors()
+        finally:
+            gc.enable()
+        assert (after_evaluate, after_extract, after_predict) == (before,) * 3
+
+    def test_one_batch_graph_has_the_same_nodes_for_any_batch_size(
+            self, tiny_corpus, tiny_config, monkeypatch):
+        # One graph per batch: its size follows the views and n-gram orders,
+        # never the number of documents or their padding.
+        train, _, _ = tiny_corpus
+        nodes = []
+        backward = Graph.backward
+
+        def counting(graph, loss):
+            nodes.append(len(graph.nodes))
+            return backward(graph, loss)
+
+        monkeypatch.setattr(Graph, "backward", counting)
+        config = dataclasses.replace(tiny_config, conv_features=True, dropout=0.2)
+        for size in (1, 50):
+            sized = dataclasses.replace(config, batch_size=size)
+            model = build_model(sized, train)
+            train_epoch(model, train[:size], sized, RngStreams.from_seed(0),
+                        AdadeltaState.for_params(model.params))
+        assert len(nodes) == 2 and nodes[0] == nodes[1]
+
+    def test_numeric_error_names_the_batch(self, tiny_corpus, tiny_config):
+        train, _, _ = tiny_corpus
+        # The first step's update is finite but vast, so the second batch's
+        # forward pass is the first to overflow.
+        config = dataclasses.replace(tiny_config, batch_size=50, lr_scale=1e300)
+        model = build_model(config, train)
+        streams = RngStreams.from_seed(config.seed)
+        state = AdadeltaState.for_params(model.params)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match=r"^batch 2: \w+: result contains non-finite"):
+            train_epoch(model, train, config, streams, state)
 
     def test_empty_dataset_rejected(self, tiny_config):
         model_source = [  # one doc is enough to build the model itself
