@@ -13,7 +13,7 @@ from mvnet.numeric import (
     Graph,
     cross_entropy,
     finite_diff_check,
-    matmul,
+    linear,
     softmax_vec,
     sum_all,
     tanh_ew,
@@ -21,18 +21,18 @@ from mvnet.numeric import (
 
 rng = np.random.default_rng(0)
 
-# Forward: a tiny two-layer computation ending in a scalar.
+# Forward: two input rows through a 4 -> 3 tanh layer, summed to a scalar.
 graph = Graph()
 weights = graph.tensor(rng.normal(size=(3, 4)) * 0.5, requires_grad=True, name="weights")
-inputs = graph.tensor(rng.normal(size=(4, 2)), name="inputs")
-hidden = tanh_ew(matmul(weights, inputs))
+inputs = graph.tensor(rng.normal(size=(2, 4)), name="inputs")
+hidden = tanh_ew(linear(inputs, weights))
 loss = sum_all(hidden)
 print(f"loss = {loss.item():.6f}")
 
-# Backward: gradients for every requires_grad leaf, in one call.
-grads = graph.backward(loss)
+# Backward: one call fills the grad of every requires_grad leaf.
+graph.backward(loss)
 print("gradient of the weights:")
-print(np.array_str(grads[weights], precision=4))
+print(np.array_str(weights.grad, precision=4))
 
 # The same engine handles the classification head: softmax probabilities
 # and the numerically stable cross-entropy.
@@ -41,16 +41,16 @@ logits = graph.tensor(np.array([2.0, -1.0, 0.5]), requires_grad=True)
 print(f"\nsoftmax: {np.array_str(softmax_vec(logits).value, precision=4)}")
 nll = cross_entropy(logits, 0)
 print(f"cross-entropy against class 0: {nll.item():.6f}")
-grads = graph.backward(nll)
+graph.backward(nll)
 print(f"logit gradient (probabilities minus one-hot): "
-      f"{np.array_str(grads[logits], precision=4)}")
+      f"{np.array_str(logits.grad, precision=4)}")
 
 # Trust but verify: central finite differences over every coordinate.
-params = {"w": rng.normal(size=(3, 4)) * 0.5, "x": rng.normal(size=(4, 2))}
+params = {"w": rng.normal(size=(3, 4)) * 0.5, "x": rng.normal(size=(2, 4))}
 
 
 def build(graph, leaves):
-    return sum_all(tanh_ew(matmul(leaves["w"], leaves["x"])))
+    return sum_all(tanh_ew(linear(leaves["x"], leaves["w"])))
 
 
 error = finite_diff_check(build, params)

@@ -1,114 +1,11 @@
-"""Multi-view attention text classifier on a small numpy autodiff core."""
+"""Multi-view attention text classifier on a small numpy autodiff core.
 
-from .analysis import (
-    GaussianNbModel,
-    MissingClassError,
-    SweepRow,
-    ViewDataset,
-    class_f_measures,
-    ensemble_vote,
-    extract_view_representations,
-    nb_predict,
-    nb_train,
-    view_sweep,
-)
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (
-    ConfigError,
-    TrainConfig,
-    VARIANT_CHAIN,
-    VARIANT_FULL,
-    VARIANT_NO_LINKS,
-    VARIANTS,
-    load_config,
-    preset,
-    save_config,
-    seed_stream,
-)
-from .data import DatasetError, LabeledDocument, load_dataset, num_classes, save_dataset
-from .features import (
-    EmbeddingFileError,
-    PAD_TOKEN,
-    UNK_TOKEN,
-    Vocabulary,
-    build_vocab,
-    init_embeddings,
-    load_embeddings,
-    tokenize,
-)
-from .model import MvnModel, init_parameters, view_stack_param_count
-from .numeric import Graph, NumericError, ShapeError, Tensor, finite_diff_check
-from .synthetic import keyword_corpus, random_label_corpus
-from .training import (
-    AdadeltaState,
-    EvalResult,
-    FitResult,
-    adadelta_step,
-    build_model,
-    compute_metrics,
-    evaluate,
-    fit,
-    sample_dropout_mask,
-    train_epoch,
-)
+The top level holds what a training script needs; everything else is
+imported from its module (``mvnet.numeric``, ``mvnet.analysis``, ...).
+"""
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdadeltaState",
-    "CheckpointError",
-    "ConfigError",
-    "DatasetError",
-    "EmbeddingFileError",
-    "EvalResult",
-    "FitResult",
-    "GaussianNbModel",
-    "Graph",
-    "LabeledDocument",
-    "MissingClassError",
-    "MvnModel",
-    "NumericError",
-    "PAD_TOKEN",
-    "ShapeError",
-    "SweepRow",
-    "Tensor",
-    "TrainConfig",
-    "UNK_TOKEN",
-    "VARIANTS",
-    "VARIANT_CHAIN",
-    "VARIANT_FULL",
-    "VARIANT_NO_LINKS",
-    "ViewDataset",
-    "Vocabulary",
-    "adadelta_step",
-    "build_model",
-    "build_vocab",
-    "class_f_measures",
-    "compute_metrics",
-    "ensemble_vote",
-    "evaluate",
-    "extract_view_representations",
-    "finite_diff_check",
-    "fit",
-    "init_embeddings",
-    "init_parameters",
-    "keyword_corpus",
-    "load_checkpoint",
-    "load_config",
-    "load_dataset",
-    "load_embeddings",
-    "nb_predict",
-    "nb_train",
-    "num_classes",
-    "preset",
-    "random_label_corpus",
-    "sample_dropout_mask",
-    "save_checkpoint",
-    "save_config",
-    "save_dataset",
-    "seed_stream",
-    "tokenize",
-    "train_epoch",
-    "view_sweep",
-    "view_stack_param_count",
-]
+from .checkpoint import load_checkpoint, save_checkpoint  # noqa: F401
+from .config import TrainConfig  # noqa: F401
+from .data import load_dataset, save_dataset  # noqa: F401
+from .synthetic import keyword_corpus, random_label_corpus  # noqa: F401
+from .training import build_model, evaluate, fit  # noqa: F401

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .model import MvnModel
-from .training import build_model, compute_metrics, evaluate, fit
+from .training import compute_metrics, train_and_score
 
 VARIANCE_FLOOR_SCALE = 1e-9
 
@@ -122,9 +122,8 @@ def view_sweep(base_config: TrainConfig, view_counts, train_set, dev_set,
     rows = []
     for views in counts:
         config = dataclasses.replace(base_config, views=views)
-        model = build_model(config, train_set, embeddings_path)
-        result = fit(model, train_set, dev_set, config)
-        test = evaluate(model, test_set)
+        _, result, test = train_and_score(config, train_set, dev_set, test_set,
+                                          embeddings_path)
         row = SweepRow(views=views, dev_accuracy=result.best_dev_accuracy,
                        test_accuracy=test.accuracy)
         rows.append(row)

@@ -41,7 +41,7 @@ from .features import EmbeddingFileError
 from .files import atomic_open
 from .model import view_stack_param_count
 from .numeric import NumericError
-from .training import build_model, evaluate, fit
+from .training import build_model, evaluate, fit, train_and_score
 
 # NumericError covers a run that diverges: it names the op that first
 # produced a non-finite value.
@@ -164,9 +164,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     out = _out_dir(args)
-    manifest = RunManifest(command=args.command, seed=model.config.seed,
-                           config=config_to_dict(model.config), started_at=_utc_now())
-    manifest.add_dataset("test", args.test)
+    manifest = _manifest_for(args, model.config, ("test",))
     docs = _load_role(args, "test")
     result = evaluate(model, docs)
     payload = {
@@ -190,12 +188,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _train_once(config: TrainConfig, train_docs, dev_docs, embeddings_path):
-    model = build_model(config, train_docs, embeddings_path)
-    result = fit(model, train_docs, dev_docs, config)
-    return model, result
-
-
 def cmd_ablate(args) -> int:
     config = _resolve_config(args)
     out = _out_dir(args)
@@ -207,8 +199,9 @@ def cmd_ablate(args) -> int:
 
     def variant_row(name: str, variant: str) -> None:
         variant_config = dataclasses.replace(config, variant=variant)
-        model, _ = _train_once(variant_config, train_docs, dev_docs, args.embeddings)
-        accuracy = evaluate(model, test_docs).accuracy
+        _, _, test = train_and_score(variant_config, train_docs, dev_docs, test_docs,
+                                     args.embeddings)
+        accuracy = test.accuracy
         rows.append({
             "name": name,
             "test_accuracy": accuracy,
@@ -224,9 +217,10 @@ def cmd_ablate(args) -> int:
     accuracies = []
     for i in range(learners):
         learner_config = dataclasses.replace(config, views=1, seed=config.seed + 1 + i)
-        model, _ = _train_once(learner_config, train_docs, dev_docs, args.embeddings)
+        model, _, test = train_and_score(learner_config, train_docs, dev_docs,
+                                         test_docs, args.embeddings)
         models.append(model)
-        accuracies.append(evaluate(model, test_docs).accuracy)
+        accuracies.append(test.accuracy)
     vote = ensemble_vote(models, test_docs)
     spread = statistics.stdev(accuracies) if len(accuracies) >= 2 else 0.0
     rows.append({
@@ -285,10 +279,7 @@ def cmd_sweep_views(args) -> int:
 def cmd_analyze_views(args) -> int:
     model = load_checkpoint(args.checkpoint)
     out = _out_dir(args)
-    manifest = RunManifest(command=args.command, seed=model.config.seed,
-                           config=config_to_dict(model.config), started_at=_utc_now())
-    manifest.add_dataset("train", args.train)
-    manifest.add_dataset("test", args.test)
+    manifest = _manifest_for(args, model.config, ("train", "test"))
     train_docs = _load_role(args, "train")
     test_docs = _load_role(args, "test")
     train_views = extract_view_representations(model, train_docs)

@@ -1,4 +1,4 @@
-"""Run configuration: hyperparameters, presets, the flat config file format,
+"""Run configuration: hyperparameters, presets, the flat config file reader,
 and the seeded random sub-streams every component draws from."""
 
 from __future__ import annotations
@@ -120,25 +120,10 @@ def _parse_variant(text: str) -> str:
     return text
 
 
-_FIELD_PARSERS = {
-    "views": int,
-    "view_dim": int,
-    "attention_dim": _parse_optional_int,
-    "embed_dim": int,
-    "dropout": float,
-    "lr_scale": float,
-    "rho": float,
-    "epsilon": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "patience": int,
-    "seed": int,
-    "variant": _parse_variant,
-    "conv_features": _parse_bool,
-    "two_layer_classifier": _parse_bool,
-    "hidden_dim": _parse_optional_int,
-    "min_count": int,
-}
+# Field annotations are strings under ``from __future__ import annotations``.
+_TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool,
+                 "int | None": _parse_optional_int, "str": _parse_variant}
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(TrainConfig)}
 
 
 def parse_config_text(text: str, base: TrainConfig | None = None,
@@ -169,31 +154,6 @@ def parse_config_text(text: str, base: TrainConfig | None = None,
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
     with open(path, encoding="utf-8") as handle:
         return parse_config_text(handle.read(), base=base, source=str(path))
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def config_to_text(config: TrainConfig) -> str:
-    """Serialize in field order; unset optional fields are omitted.
-
-    ``parse_config_text(config_to_text(c))`` reproduces ``c`` exactly.
-    """
-    lines = []
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if value is None:
-            continue
-        lines.append(f"{field.name} = {_format_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def save_config(path, config: TrainConfig) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(config_to_text(config))
 
 
 def config_to_dict(config: TrainConfig) -> dict:

@@ -69,7 +69,13 @@ def save_dataset(path, docs) -> None:
 
 
 def num_classes(docs) -> int:
-    """Label count implied by the data: highest label plus one."""
+    """Label count implied by the data: highest label plus one. More classes
+    than documents are rejected: some class would have no example, and a
+    stray huge label would size a huge classifier."""
     if not docs:
         raise DatasetError("num_classes: empty document list")
-    return max(doc.label for doc in docs) + 1
+    count = max(doc.label for doc in docs) + 1
+    if count > len(docs):
+        raise DatasetError(f"label {count - 1} implies {count} classes, more than "
+                           f"the {len(docs)} training documents")
+    return count

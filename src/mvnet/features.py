@@ -12,13 +12,12 @@ import numpy as np
 from .numeric import (
     ShapeError,
     Tensor,
-    add_rowvec,
     concat_rows,
     linear,
-    matmul,
     max_rows,
     reshape,
     tanh_ew,
+    transpose,
     unfold,
 )
 
@@ -116,6 +115,8 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator,
                 vector = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
+            if not np.isfinite(vector).all():
+                raise EmbeddingFileError(f"{path}:{lineno}: non-finite value")
             if width is None:
                 width = vector.size
             elif vector.size != width:
@@ -153,8 +154,9 @@ class ConvFilterBank:
 
 
 def project(rows: Tensor, proj: Projection) -> Tensor:
-    """tanh(row @ weight + bias) applied to every embedding row."""
-    return tanh_ew(add_rowvec(matmul(rows, proj.weight), proj.bias))
+    """tanh(row @ weight + bias) applied to every embedding row, as one
+    ``linear`` node over the weight transposed once."""
+    return tanh_ew(linear(rows, transpose(proj.weight), proj.bias))
 
 
 def ngram_features(projected: Tensor, bank: ConvFilterBank,

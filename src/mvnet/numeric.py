@@ -25,12 +25,8 @@ __all__ = [
     "Tensor",
     "NumericError",
     "ShapeError",
-    "matmul",
     "matvec",
-    "add",
-    "add_rowvec",
     "mul",
-    "scale",
     "tanh_ew",
     "softmax_vec",
     "concat_rows",
@@ -142,14 +138,14 @@ class Graph:
         frees; released, its tensors go as soon as nothing else holds them."""
         self.nodes.clear()
 
-    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    def backward(self, loss: Tensor) -> None:
         """Push gradients from a scalar loss back through the graph.
 
-        Returns the gradient of every requires_grad leaf (zeros when the loss
-        does not depend on it). Grad slots are cleared first, so calling
-        backward twice on the same graph gives bit-identical results. An
-        inner node's gradient is dropped once it has been pushed to the
-        node's inputs, so only the leaves keep theirs.
+        Afterwards every requires_grad leaf holds its gradient in ``grad``
+        (zeros when the loss does not depend on it). Grad slots are cleared
+        first, so calling backward twice on the same graph gives
+        bit-identical results. An inner node's gradient is dropped once it
+        has been pushed to the node's inputs, so only the leaves keep theirs.
         """
         if loss.graph is not self:
             raise NumericError("backward: loss belongs to a different graph")
@@ -163,13 +159,9 @@ class Graph:
                 continue
             node._push(node.grad)
             node.grad = None
-        grads: dict[Tensor, np.ndarray] = {}
         for node in self.nodes:
-            if node.op == "leaf" and node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.value)
-                grads[node] = node.grad
-        return grads
+            if node.op == "leaf" and node.requires_grad and node.grad is None:
+                node.grad = np.zeros_like(node.value)
 
 
 def _accum(tensor: Tensor, grad, own: bool = False) -> None:
@@ -191,25 +183,6 @@ def _graph_of(op: str, *tensors: Tensor) -> Graph:
         if t.graph is not graph:
             raise NumericError(f"{op}: operands belong to different graphs")
     return graph
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of ``a`` (..., m, n), leading batch axes allowed, with
-    one matrix ``b`` (n, k); backward is dA = G @ B^T, dB = A^T @ G summed
-    over the batch."""
-    graph = _graph_of("matmul", a, b)
-    if a.ndim < 2 or b.ndim != 2:
-        raise ShapeError("matmul", f"expected two matrices, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError("matmul", f"inner dimensions differ: {a.shape} x {b.shape}")
-    out = (a.value.reshape(-1, b.shape[0]) @ b.value).reshape(a.shape[:-1] + b.shape[1:])
-
-    def push(grad):
-        flat = grad.reshape(-1, b.shape[1])
-        _accum(a, (flat @ b.value.T).reshape(a.shape), own=True)
-        _accum(b, a.value.reshape(-1, b.shape[0]).T @ flat, own=True)
-
-    return graph._record("matmul", out, (a, b), push)
 
 
 def matvec(a: Tensor, x: Tensor) -> Tensor:
@@ -235,33 +208,6 @@ def matvec(a: Tensor, x: Tensor) -> Tensor:
     return graph._record("matvec", out, (a, x), push)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    graph = _graph_of("add", a, b)
-    if a.shape != b.shape:
-        raise ShapeError("add", f"shapes differ: {a.shape} vs {b.shape}")
-    out = a.value + b.value
-
-    def push(grad):
-        _accum(a, grad)
-        _accum(b, grad)
-
-    return graph._record("add", out, (a, b), push)
-
-
-def add_rowvec(a: Tensor, b: Tensor) -> Tensor:
-    """Add a vector to every row of a matrix (leading batch axes allowed)."""
-    graph = _graph_of("add_rowvec", a, b)
-    if a.ndim < 2 or b.ndim != 1 or a.shape[-1] != b.shape[0]:
-        raise ShapeError("add_rowvec", f"incompatible shapes {a.shape} and {b.shape}")
-    out = a.value + b.value
-
-    def push(grad):
-        _accum(a, grad)
-        _accum(b, grad.reshape(-1, b.shape[0]).sum(axis=0), own=True)
-
-    return graph._record("add_rowvec", out, (a, b), push)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     graph = _graph_of("mul", a, b)
@@ -274,16 +220,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, grad * a.value, own=True)
 
     return graph._record("mul", out, (a, b), push)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-    out = a.value * factor
-
-    def push(grad):
-        _accum(a, grad * factor, own=True)
-
-    return a.graph._record("scale", out, (a,), push)
 
 
 def tanh_ew(a: Tensor) -> Tensor:

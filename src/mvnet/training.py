@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig, seed_stream
+from .data import num_classes
 from .features import build_vocab, init_embeddings, load_embeddings
 from .model import MvnModel
 # mean_scalars has no caller here any more; it stays importable from this
@@ -130,8 +131,7 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
         if previous is not None:
             previous.release()
         previous = graph
-        grads = {name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
-                 for name, leaf in bound.leaves.items()}
+        grads = {name: leaf.grad for name, leaf in bound.leaves.items()}
         adadelta_step(model.params, grads, state,
                       config.lr_scale, config.rho, config.epsilon)
         loss_total += batch_loss.item() * len(docs)
@@ -273,11 +273,11 @@ def build_model(config: TrainConfig, train_docs,
                 embeddings_path=None) -> MvnModel:
     """Model ready to train: vocabulary from the training documents,
     embeddings loaded from file or drawn fresh, weights initialized, label
-    count inferred from the training labels."""
+    count inferred from the training labels (see :func:`data.num_classes`)."""
     if not train_docs:
         raise ValueError("build_model: no training documents")
+    classes = num_classes(train_docs)
     vocab = build_vocab([doc.tokens for doc in train_docs], config.min_count)
-    classes = max(doc.label for doc in train_docs) + 1
     embed_rng = seed_stream(config.seed, "embeddings")
     if embeddings_path:
         table = load_embeddings(embeddings_path, vocab, embed_rng, dim=config.embed_dim)
@@ -285,3 +285,12 @@ def build_model(config: TrainConfig, train_docs,
         table = init_embeddings(vocab, config.embed_dim, embed_rng)
     return MvnModel.create(config, vocab, classes,
                            seed_stream(config.seed, "init"), embedding=table)
+
+
+def train_and_score(config: TrainConfig, train, dev, test, embeddings_path=None,
+                    ) -> tuple[MvnModel, FitResult, EvalResult]:
+    """Build a model from ``train``, fit it with ``dev`` selecting the best
+    epoch, and evaluate the selected model on ``test``."""
+    model = build_model(config, train, embeddings_path)
+    result = fit(model, train, dev, config)
+    return model, result, evaluate(model, test)

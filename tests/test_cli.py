@@ -225,6 +225,28 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "dropout" in err and ":2:" in err
 
+    def test_more_classes_than_documents_reports_one_line(self, workspace, capsys):
+        labels = workspace / "labels.tsv"
+        labels.write_text("0\tred apple\n1\tblue sky\n40\tgreen grass\n")
+        code = main(["train", "--config", str(workspace / "tiny.cfg"),
+                     "--train", str(labels), "--dev", str(workspace / "dev.tsv"),
+                     "--out", str(workspace / "labels-run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "41 classes" in err
+        assert err.count("\n") == 1
+
+    def test_non_finite_embeddings_report_one_line(self, workspace, capsys):
+        vectors = workspace / "nan-vectors.txt"
+        vectors.write_text("alpha " + " ".join(["nan"] + ["0.1"] * 7) + "\n")
+        code = main(["train", "--config", str(workspace / "tiny.cfg"),
+                     "--train", str(workspace / "train.tsv"),
+                     "--dev", str(workspace / "dev.tsv"),
+                     "--embeddings", str(vectors), "--out", str(workspace / "nan-run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {vectors}:1: non-finite value\n"
+
     @pytest.mark.parametrize("command", ["train", "ablate", "sweep-views"])
     def test_diverging_run_reports_one_line(self, workspace, capsys, command):
         diverging = workspace / "diverging.cfg"

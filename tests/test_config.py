@@ -10,13 +10,12 @@ from mvnet.config import (
     TrainConfig,
     config_from_dict,
     config_to_dict,
-    config_to_text,
     load_config,
     parse_config_text,
     preset,
-    save_config,
     seed_stream,
 )
+from mvnet.config import _FIELD_PARSERS
 
 
 class TestDefaults:
@@ -60,11 +59,22 @@ class TestValidation:
 
 
 class TestTextFormat:
-    def test_round_trip_is_exact(self):
-        config = TrainConfig(views=5, view_dim=33, attention_dim=17, dropout=0.35,
-                             lr_scale=0.125, variant="chain", conv_features=False,
-                             hidden_dim=77, seed=99)
-        assert parse_config_text(config_to_text(config)) == config
+    def test_reader_sets_every_field(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "views = 5\nview_dim = 33\nattention_dim = none\nembed_dim = 12\n"
+            "dropout = 0.35\nlr_scale = 1e-3\nrho = 0.9\nepsilon = 1e-8\n"
+            "batch_size = 7\nmax_epochs = 4\npatience = 0\nseed = 99\n"
+            "variant = chain\nconv_features = false\ntwo_layer_classifier = true\n"
+            "hidden_dim = 77\nmin_count = 2\n")
+        base = TrainConfig(attention_dim=9)
+        expected = TrainConfig(views=5, view_dim=33, attention_dim=None, embed_dim=12,
+                               dropout=0.35, lr_scale=0.001, rho=0.9, epsilon=1e-8,
+                               batch_size=7, max_epochs=4, patience=0, seed=99,
+                               variant="chain", conv_features=False,
+                               two_layer_classifier=True, hidden_dim=77, min_count=2)
+        assert load_config(path, base=base) == expected
+        assert set(_FIELD_PARSERS) == {f.name for f in dataclasses.fields(TrainConfig)}
 
     def test_comments_and_blank_lines_ignored(self):
         config = parse_config_text("# a comment\n\nviews = 2\n  # indented comment\n")
@@ -93,12 +103,6 @@ class TestTextFormat:
         assert parse_config_text("conv_features = True").conv_features is True
         with pytest.raises(ConfigError):
             parse_config_text("conv_features = maybe")
-
-    def test_save_then_load(self, tmp_path):
-        config = TrainConfig(views=4, seed=3)
-        path = tmp_path / "run.cfg"
-        save_config(path, config)
-        assert load_config(path) == config
 
 
 class TestDictFormat:

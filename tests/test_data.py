@@ -52,9 +52,15 @@ class TestLoading:
             [(d.label, d.tokens, d.raw) for d in docs]
 
     def test_num_classes_is_max_label_plus_one(self):
-        docs = [LabeledDocument(label=0, tokens=["a"], raw="a"),
-                LabeledDocument(label=3, tokens=["b"], raw="b")]
+        docs = [LabeledDocument(label=label, tokens=["a"], raw="a")
+                for label in (0, 3, 1, 1)]
         assert num_classes(docs) == 4
+
+    def test_more_classes_than_documents_rejected(self):
+        docs = [LabeledDocument(label=label, tokens=["a"], raw="a")
+                for label in (0, 1, 40)]
+        with pytest.raises(DatasetError, match="label 40 implies 41 classes"):
+            num_classes(docs)
 
 
 class TestSyntheticCorpora:

@@ -21,7 +21,7 @@ from mvnet.features import (
     project,
     tokenize,
 )
-from mvnet.numeric import Graph, ShapeError
+from mvnet.numeric import Graph, ShapeError, mul, sum_all
 
 
 class TestTokenize:
@@ -126,6 +126,15 @@ class TestEmbeddingTable:
         with pytest.raises(EmbeddingFileError, match="non-numeric"):
             load_embeddings(path, Vocabulary.from_tokens(["cat"]), rng)
 
+    def test_non_finite_value_reports_line(self, tmp_path, rng):
+        path = tmp_path / "vectors.txt"
+        path.write_text("alpha nan 0.1\nbeta 0.2 inf\n")
+        with pytest.raises(EmbeddingFileError, match=r"vectors\.txt:1: non-finite value"):
+            load_embeddings(path, Vocabulary.from_tokens(["alpha", "beta"]), rng)
+        path.write_text("alpha 0.3 0.1\nbeta 0.2 -inf\n")
+        with pytest.raises(EmbeddingFileError, match=r"vectors\.txt:2: non-finite value"):
+            load_embeddings(path, Vocabulary.from_tokens(["alpha", "beta"]), rng)
+
     def test_empty_file_rejected(self, tmp_path, rng):
         path = tmp_path / "vectors.txt"
         path.write_text("\n\n")
@@ -151,6 +160,23 @@ class TestProjection:
         proj = Projection(weight=g.tensor(weight), bias=g.tensor(bias))
         out = project(g.tensor(rows), proj)
         np.testing.assert_allclose(out.value, np.tanh(rows @ weight + bias), rtol=1e-14)
+
+    def test_gradients_match_closed_form(self, rng):
+        rows = rng.normal(size=(2, 4, 3))
+        weight = rng.normal(size=(3, 2))
+        bias = rng.normal(size=2)
+        upstream = rng.normal(size=(2, 4, 2))
+        g = Graph()
+        leaves = [g.tensor(v, requires_grad=True) for v in (rows, weight, bias)]
+        out = project(leaves[0], Projection(weight=leaves[1], bias=leaves[2]))
+        g.backward(sum_all(mul(out, g.tensor(upstream))))
+        y = np.tanh(rows @ weight + bias)
+        np.testing.assert_allclose(out.value, y, rtol=1e-12)
+        dz = (upstream * (1.0 - y * y)).reshape(-1, 2)
+        flat_rows = rows.reshape(-1, 3)
+        expected = [(dz @ weight.T).reshape(rows.shape), flat_rows.T @ dz, dz.sum(axis=0)]
+        for leaf, grad in zip(leaves, expected):
+            np.testing.assert_allclose(leaf.grad, grad, rtol=1e-12)
 
 
 class TestNgramFeatures:
