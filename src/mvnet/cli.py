@@ -36,7 +36,7 @@ from .config import (
     load_config,
     preset,
 )
-from .data import DatasetError, load_dataset
+from .data import DatasetError, load_dataset, num_classes
 from .features import EmbeddingFileError
 from .files import atomic_open
 from .model import view_stack_param_count
@@ -124,11 +124,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_role(args, role: str):
-    docs, malformed = load_dataset(getattr(args, role))
+def _load_role(args, role: str, classes: int | None = None):
+    docs, malformed = load_dataset(getattr(args, role), classes=classes)
     if malformed:
         print(f"note: skipped {malformed} malformed line(s) in {getattr(args, role)}")
     return docs
+
+
+def _load_splits(args):
+    """Train, dev and test documents; dev and test labels under the train classes."""
+    train = _load_role(args, "train")
+    classes = num_classes(train)
+    return train, _load_role(args, "dev", classes), _load_role(args, "test", classes)
 
 
 def _epoch_printer(record) -> None:
@@ -143,7 +150,7 @@ def cmd_train(args) -> int:
     if args.embeddings:
         manifest.add_dataset("embeddings", args.embeddings)
     train_docs = _load_role(args, "train")
-    dev_docs = _load_role(args, "dev")
+    dev_docs = _load_role(args, "dev", num_classes(train_docs))
     model = build_model(config, train_docs, args.embeddings)
     result = fit(model, train_docs, dev_docs, config, progress=_epoch_printer)
     checkpoint_path = out / "model.ckpt"
@@ -165,7 +172,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     out = _out_dir(args)
     manifest = _manifest_for(args, model.config, ("test",))
-    docs = _load_role(args, "test")
+    docs = _load_role(args, "test", model.num_classes)
     result = evaluate(model, docs)
     payload = {
         "accuracy": result.accuracy,
@@ -192,9 +199,7 @@ def cmd_ablate(args) -> int:
     config = _resolve_config(args)
     out = _out_dir(args)
     manifest = _manifest_for(args, config, ("train", "dev", "test"))
-    train_docs = _load_role(args, "train")
-    dev_docs = _load_role(args, "dev")
-    test_docs = _load_role(args, "test")
+    train_docs, dev_docs, test_docs = _load_splits(args)
     rows = []
 
     def variant_row(name: str, variant: str) -> None:
@@ -254,9 +259,7 @@ def cmd_sweep_views(args) -> int:
     config = _resolve_config(args)
     out = _out_dir(args)
     manifest = _manifest_for(args, config, ("train", "dev", "test"))
-    train_docs = _load_role(args, "train")
-    dev_docs = _load_role(args, "dev")
-    test_docs = _load_role(args, "test")
+    train_docs, dev_docs, test_docs = _load_splits(args)
     counts = [int(v) for v in args.views.split(",") if v.strip()]
     rows = view_sweep(config, counts, train_docs, dev_docs, test_docs,
                       args.embeddings,
@@ -280,8 +283,8 @@ def cmd_analyze_views(args) -> int:
     model = load_checkpoint(args.checkpoint)
     out = _out_dir(args)
     manifest = _manifest_for(args, model.config, ("train", "test"))
-    train_docs = _load_role(args, "train")
-    test_docs = _load_role(args, "test")
+    train_docs = _load_role(args, "train", model.num_classes)
+    test_docs = _load_role(args, "test", model.num_classes)
     train_views = extract_view_representations(model, train_docs)
     test_views = extract_view_representations(model, test_docs)
     classes = model.num_classes

@@ -19,19 +19,20 @@ class LabeledDocument:
 
 
 def load_dataset(path, max_malformed_fraction: float = 0.01,
-                 ) -> tuple[list[LabeledDocument], int]:
+                 classes: int | None = None) -> tuple[list[LabeledDocument], int]:
     """Parse a dataset file, returning documents and the malformed-line count.
 
     A line is malformed when it lacks a tab, its label is not a non-negative
     integer, or its text tokenizes to nothing. Malformed lines are skipped but
     counted; the whole load aborts when they exceed ``max_malformed_fraction``
-    of the non-blank lines.
+    of the non-blank lines. Given a model's class count ``classes``, a label
+    at or above it aborts the load, naming the line.
     """
     docs: list[LabeledDocument] = []
     malformed = 0
     total = 0
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
+        for number, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
@@ -48,6 +49,9 @@ def load_dataset(path, max_malformed_fraction: float = 0.01,
             if label < 0:
                 malformed += 1
                 continue
+            if classes is not None and label >= classes:
+                raise DatasetError(f"{path}:{number}: label {label} out of range "
+                                   f"for {classes} classes")
             tokens = tokenize(body)
             if not tokens:
                 malformed += 1

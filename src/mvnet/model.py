@@ -336,15 +336,21 @@ class MvnModel:
             bound = self.bind(graph)
         # Every text fills at least the widest n-gram window.
         width = max(max(lengths), max(NGRAM_ORDERS))
-        ids = np.full((len(docs), width), self.vocab.pad_index, dtype=np.intp)
+        # One slot per distinct id, <pad> first: each is projected once, then
+        # gathered per token (the row-wise projection gives the same values).
+        slots = {self.vocab.pad_index: 0}
+        ids = np.zeros((len(docs), width), dtype=np.intp)
         for row, doc in zip(ids, docs):
-            row[:len(doc.tokens)] = [self.vocab.lookup(t) for t in doc.tokens]
+            row[:len(doc.tokens)] = [slots.setdefault(self.vocab.lookup(t), len(slots))
+                                     for t in doc.tokens]
+        distinct = np.fromiter(slots, dtype=np.intp, count=len(slots))
         padded = min(lengths) < width
         valid = None
         if padded:
             lengths = np.array(lengths)
             valid = np.arange(width) < lengths[:, None]
-        feature_rows = project(gather_rows(bound.embedding, ids), bound.projection)
+        feature_rows = gather_rows(
+            project(gather_rows(bound.embedding, distinct), bound.projection), ids)
         if bound.conv is not None:
             pooled = ngram_features(feature_rows, bound.conv, lengths if padded else None)
             feature_rows = augment_features(feature_rows, pooled)

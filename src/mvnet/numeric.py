@@ -15,6 +15,7 @@ without ever recording an infinite value.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -63,7 +64,7 @@ def _as_value(value) -> np.ndarray:
 def _require_finite(op: str, value: np.ndarray) -> None:
     # np.sum is non-finite whenever any entry is NaN/Inf; cheap screen first,
     # exact scan only on suspicion (the sum may overflow on its own).
-    if not np.isfinite(value.sum()):
+    if not math.isfinite(value.sum()):
         if not bool(np.isfinite(value).all()):
             raise NumericError(f"{op}: result contains non-finite values")
 
@@ -402,8 +403,14 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = a.value[idx]
 
     def push(grad):
+        # Stable sort by index, then one reduceat sums each run of repeats.
+        flat = idx.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
         full = np.zeros_like(a.value)
-        np.add.at(full, idx.reshape(-1), grad.reshape((-1,) + a.shape[1:]))
+        full[ordered[starts]] = np.add.reduceat(
+            grad.reshape((-1,) + a.shape[1:])[order], starts, axis=0)
         _accum(a, full, own=True)
 
     return a.graph._record("gather_rows", out, (a,), push)

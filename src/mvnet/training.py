@@ -4,7 +4,7 @@ evaluation metrics and early-stopping model selection."""
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,12 +17,18 @@ from .model import MvnModel
 from .numeric import Graph, NumericError, cross_entropy, mean_scalars  # noqa: F401
 
 
+# Block length of the Adadelta step: scratch and array slices stay in cache.
+ADADELTA_BLOCK = 16384
+
+
 @dataclass
 class AdadeltaState:
-    """Running averages of squared gradients and squared updates."""
+    """Running averages of squared gradients and updates, and step scratch."""
 
     sq_grad: dict[str, np.ndarray]
     sq_update: dict[str, np.ndarray]
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADADELTA_BLOCK)),
+                                repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params) -> "AdadeltaState":
@@ -38,20 +44,31 @@ def adadelta_step(params, grads, state: AdadeltaState, lr_scale: float,
         delta = -sqrt(Ex + eps) / sqrt(Eg + eps) * g
         Ex <- rho * Ex + (1 - rho) * delta^2
         x  <- x + lr_scale * delta
+
+    It runs over blocks of ``ADADELTA_BLOCK`` elements in the state's scratch,
+    rounding in the order written, so it allocates no parameter-sized array
+    and matches the whole-array expression bit for bit. Parameters must be
+    C-contiguous: they are updated through flat views.
     """
     for name, x in params.items():
         g = grads[name]
         if g.shape != x.shape:
             raise ValueError(f"adadelta_step: gradient shape {g.shape} does not "
                              f"match parameter shape {x.shape} for {name!r}")
-        sq_grad = state.sq_grad[name]
-        sq_update = state.sq_update[name]
-        sq_grad *= rho
-        sq_grad += (1.0 - rho) * g * g
-        delta = -np.sqrt(sq_update + eps) / np.sqrt(sq_grad + eps) * g
-        sq_update *= rho
-        sq_update += (1.0 - rho) * delta * delta
-        x += lr_scale * delta
+        if not x.flags.c_contiguous:
+            raise ValueError(f"adadelta_step: parameter {name!r} is not contiguous")
+        flats = [v.reshape(-1) for v in (x, g, state.sq_grad[name], state.sq_update[name])]
+        for start in range(0, x.size, ADADELTA_BLOCK):
+            xb, gb, eg, ex = (f[start:start + ADADELTA_BLOCK] for f in flats)
+            a, b = state.scratch[:, :gb.size]
+            eg *= rho
+            eg += np.multiply(np.multiply(gb, 1.0 - rho, out=a), gb, out=a)
+            delta = np.negative(np.sqrt(np.add(ex, eps, out=a), out=a), out=a)
+            delta /= np.sqrt(np.add(eg, eps, out=b), out=b)
+            delta *= gb
+            ex *= rho
+            ex += np.multiply(np.multiply(delta, 1.0 - rho, out=b), delta, out=b)
+            xb += np.multiply(delta, lr_scale, out=delta)
     return params, state
 
 

@@ -247,6 +247,32 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err == f"error: {vectors}:1: non-finite value\n"
 
+    @pytest.mark.parametrize("command,role", [
+        ("train", "dev"), ("eval", "test"), ("ablate", "dev"), ("ablate", "test"),
+        ("sweep-views", "test"), ("analyze-views", "test")])
+    def test_label_beyond_the_class_count_reports_its_line(self, workspace, trained,
+                                                           capsys, command, role):
+        # The training labels are 0-3, so the model has 4 classes.
+        bad = workspace / f"label-{command}-{role}.tsv"
+        bad.write_text("0\tred apple\n1\tblue sky\n7\tgreen grass\n")
+        paths = {"train": workspace / "train.tsv", "dev": workspace / "dev.tsv",
+                 "test": workspace / "test.tsv", role: bad}
+        roles = {"train": ("train", "dev"), "eval": ("test",),
+                 "analyze-views": ("train", "test")}.get(command, ("train", "dev", "test"))
+        args = [command, "--out", str(workspace / f"label-{command}-{role}-run")]
+        if command in ("eval", "analyze-views"):
+            args += ["--checkpoint", str(trained / "model.ckpt")]
+        else:
+            args += ["--config", str(workspace / "tiny.cfg")]
+        if command == "sweep-views":
+            args += ["--views", "2"]
+        for name in roles:
+            args += [f"--{name}", str(paths[name])]
+        code = main(args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:3: label 7 out of range for 4 classes\n"
+
     @pytest.mark.parametrize("command", ["train", "ablate", "sweep-views"])
     def test_diverging_run_reports_one_line(self, workspace, capsys, command):
         diverging = workspace / "diverging.cfg"

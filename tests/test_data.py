@@ -41,6 +41,14 @@ class TestLoading:
         with pytest.raises(DatasetError):
             load_dataset(write(tmp_path, ""))
 
+    def test_label_at_the_class_count_names_its_line(self, tmp_path):
+        path = write(tmp_path, "3\tred apple\n\n0\tblue sky\n4\tgreen grass\n")
+        docs, _ = load_dataset(path, classes=5)
+        assert [doc.label for doc in docs] == [3, 0, 4]
+        with pytest.raises(DatasetError) as caught:
+            load_dataset(path, classes=4)
+        assert str(caught.value) == f"{path}:4: label 4 out of range for 4 classes"
+
     def test_round_trip_through_save(self, tmp_path):
         docs = [LabeledDocument(label=2, tokens=["a", "b"], raw="A b"),
                 LabeledDocument(label=0, tokens=["c"], raw="C")]

@@ -15,9 +15,26 @@ from mvnet.config import (
     VARIANTS,
 )
 from mvnet.data import LabeledDocument
-from mvnet.features import Vocabulary, build_vocab
-from mvnet.model import MvnModel, init_parameters, view_stack_param_count
-from mvnet.numeric import Graph, cross_entropy, finite_diff_check
+from mvnet import model as model_module
+from mvnet.features import (
+    NGRAM_ORDERS,
+    Vocabulary,
+    augment_features,
+    build_vocab,
+    ngram_features,
+    project,
+)
+from mvnet.model import (
+    MvnModel,
+    attention_scores,
+    attention_weights,
+    classify,
+    compose_views,
+    init_parameters,
+    select,
+    view_stack_param_count,
+)
+from mvnet.numeric import Graph, cross_entropy, finite_diff_check, gather_rows
 from mvnet.training import sample_dropout_mask
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -306,6 +323,53 @@ class TestBatchedForward:
         for name, leaf in bound.leaves.items():
             np.testing.assert_allclose(leaf.grad, expected[name], rtol=1e-12,
                                        atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_each_distinct_token_is_projected_once(self, monkeypatch, conv):
+        model = make_model(views=3, view_dim=4, embed_dim=5, conv_features=conv)
+        token_lists = [["alpha", "beta", "alpha"],
+                       ["beta", "beta", "zzz", "qqq", "alpha", "gamma", "beta"],
+                       ["gamma"]]
+        docs = [LabeledDocument(label=i % 2, tokens=t, raw="")
+                for i, t in enumerate(token_lists)]
+        labels = [doc.label for doc in docs]
+        projected = []
+
+        def recording_project(rows, proj):
+            projected.append(rows.shape[0])
+            return project(rows, proj)
+
+        monkeypatch.setattr(model_module, "project", recording_project)
+        graph = Graph()
+        bound = model.bind(graph)
+        logits, _ = model.forward_batch(graph, docs, mode="train", bound=bound)
+        graph.backward(cross_entropy(logits, labels))
+        # alpha, beta, gamma, <unk> (zzz and qqq) and <pad>.
+        assert projected == [5]
+
+        # Reference: every token position embedded and projected on its own.
+        ref_graph = Graph()
+        ref = model.bind(ref_graph)
+        lengths = np.array([len(t) for t in token_lists])
+        width = max(lengths.max(), max(NGRAM_ORDERS))
+        ids = np.full((len(docs), width), model.vocab.pad_index)
+        for row, tokens in zip(ids, token_lists):
+            row[:len(tokens)] = [model.vocab.lookup(t) for t in tokens]
+        rows = project(gather_rows(ref.embedding, ids), ref.projection)
+        valid = np.arange(width) < lengths[:, None]
+        if conv:
+            pooled = ngram_features(rows, ref.conv, lengths)
+            rows = augment_features(rows, pooled)
+            valid = np.pad(valid, ((0, 0), (0, len(pooled))), constant_values=True)
+        selections = [select(attention_weights(attention_scores(head, rows), valid), rows)
+                      for head in ref.heads]
+        ref_logits = classify(compose_views(selections, ref.stack), ref.classifier)
+        ref_graph.backward(cross_entropy(ref_logits, labels))
+
+        np.testing.assert_allclose(logits.value, ref_logits.value, rtol=1e-12, atol=0)
+        for name, leaf in bound.leaves.items():
+            np.testing.assert_allclose(leaf.grad, ref.leaves[name].grad, rtol=1e-12,
+                                       atol=1e-18, err_msg=name)
 
     def test_views_do_not_depend_on_the_batch(self):
         model = make_model()

@@ -225,6 +225,25 @@ class TestBatchesAndMasks:
         g.backward(sum_all(out))
         np.testing.assert_array_equal(table.grad, [[3.0, 3.0], [0.0, 0.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("source_shape,indices", [
+        ((6, 3), [4, 0, 4, 4, 2, 0]),
+        ((7, 2, 3), [[1, 5, 1], [5, 5, 0]]),
+        ((5,), [[3, 3], [0, 3], [3, 1]]),
+    ])
+    def test_gather_rows_backward_matches_add_at(self, rng, source_shape, indices):
+        # Repeated indices, an N-D index array and a 1-D source; rows never
+        # gathered (the last row of each table) must get exact zeros.
+        g = Graph()
+        table = _leaf(g, rng.normal(size=source_shape))
+        idx = np.array(indices)
+        upstream = rng.normal(size=idx.shape + source_shape[1:])
+        g.backward(sum_all(mul(gather_rows(table, idx), g.tensor(upstream))))
+        expected = np.zeros(source_shape)
+        np.add.at(expected, idx.reshape(-1), upstream.reshape((-1,) + source_shape[1:]))
+        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=1e-15)
+        missing = sorted(set(range(source_shape[0])) - set(idx.reshape(-1).tolist()))
+        assert missing and not table.grad[missing].any()
+
     def test_batched_ops_match_each_example(self, rng):
         g = Graph()
         batch = rng.normal(size=(3, 5, 2))

@@ -3,14 +3,17 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mvnet import training
 from mvnet.analysis import extract_view_representations
 from mvnet.config import TrainConfig
 from mvnet.numeric import Graph, NumericError, Tensor
 from mvnet.training import (
+    ADADELTA_BLOCK,
     AdadeltaState,
     RngStreams,
     adadelta_step,
@@ -105,6 +108,54 @@ class TestAdadelta:
         with pytest.raises(ValueError, match="shape"):
             adadelta_step(params, {"x": np.zeros(3)}, state, 1.0, 0.95, 1e-6)
 
+    def test_blocked_step_is_bit_identical_to_whole_array_expression(self):
+        rho, eps, lr = 0.95, 1e-6, 0.7
+        rng = np.random.default_rng(5)
+        sizes = {"one": 1, "under": ADADELTA_BLOCK - 1, "over": ADADELTA_BLOCK + 1,
+                 "several": 3 * ADADELTA_BLOCK + 7}
+        params = {name: rng.normal(size=n) for name, n in sizes.items()}
+        params["matrix"] = rng.normal(size=(7, ADADELTA_BLOCK // 3))
+        expected = {name: x.copy() for name, x in params.items()}
+        sq_grad = {name: np.zeros_like(x) for name, x in params.items()}
+        sq_update = {name: np.zeros_like(x) for name, x in params.items()}
+        state = AdadeltaState.for_params(params)
+        for _ in range(4):
+            grads = {name: rng.normal(size=x.shape) * 10.0 ** rng.uniform(-4, 4, x.shape)
+                     for name, x in params.items()}
+            adadelta_step(params, grads, state, lr, rho, eps)
+            for name, x in expected.items():
+                g = grads[name]
+                sq_grad[name] *= rho
+                sq_grad[name] += (1.0 - rho) * g * g
+                delta = -np.sqrt(sq_update[name] + eps) / np.sqrt(sq_grad[name] + eps) * g
+                sq_update[name] *= rho
+                sq_update[name] += (1.0 - rho) * delta * delta
+                x += lr * delta
+        for name in params:
+            assert params[name].tobytes() == expected[name].tobytes(), name
+            assert state.sq_grad[name].tobytes() == sq_grad[name].tobytes(), name
+            assert state.sq_update[name].tobytes() == sq_update[name].tobytes(), name
+
+    def test_step_allocates_no_parameter_sized_temporary(self):
+        # 300k float64 values are 2.4 MB; the step may use only its scratch.
+        rng = np.random.default_rng(6)
+        params = {"w": rng.normal(size=(500, 500)), "b": rng.normal(size=50_000)}
+        grads = {name: rng.normal(size=x.shape) for name, x in params.items()}
+        state = AdadeltaState.for_params(params)
+        tracemalloc.start()
+        try:
+            adadelta_step(params, grads, state, 1.0, 0.95, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = {"x": np.zeros((4, 3)).T}
+        state = AdadeltaState.for_params(params)
+        with pytest.raises(ValueError, match="contiguous"):
+            adadelta_step(params, {"x": np.ones((3, 4))}, state, 1.0, 0.95, 1e-6)
+
 
 class TestDropoutMask:
     def test_zero_rate_is_all_ones(self):
@@ -174,6 +225,25 @@ class TestTrainEpoch:
         assert stats.mean_loss > 0.0
         changed = any(not np.array_equal(before[k], model.params[k]) for k in before)
         assert changed
+
+    @pytest.mark.parametrize("batch_size", [30, 200])
+    def test_every_update_goes_through_adadelta_step(self, tiny_corpus, tiny_config,
+                                                     monkeypatch, batch_size):
+        # The benchmark times training steps by wrapping the module-level
+        # adadelta_step: it must run once per mini-batch, trailing partial
+        # batch included (200 docs = 6 * 30 + 20), and make every update.
+        train, _, _ = tiny_corpus
+        config = dataclasses.replace(tiny_config, batch_size=batch_size)
+        model = build_model(config, train)
+        before = model.copy_params()
+        calls = []
+        monkeypatch.setattr(training, "adadelta_step",
+                            lambda params, *rest: calls.append(params is model.params))
+        train_epoch(model, train, config, RngStreams.from_seed(config.seed),
+                    AdadeltaState.for_params(model.params))
+        assert calls == [True] * math.ceil(len(train) / batch_size)
+        for name, array in model.params.items():
+            np.testing.assert_array_equal(array, before[name])
 
     def test_batch_tapes_are_freed_without_the_cyclic_collector(self, tiny_corpus,
                                                                  tiny_config):
