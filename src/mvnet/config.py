@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import read_lines
+
 VARIANT_FULL = "full"
 VARIANT_NO_LINKS = "no-links"
 VARIANT_CHAIN = "chain"
@@ -152,8 +154,8 @@ def parse_config_text(text: str, base: TrainConfig | None = None,
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    with open(path, encoding="utf-8") as handle:
-        return parse_config_text(handle.read(), base=base, source=str(path))
+    text = "".join(line for _, line in read_lines(path, ConfigError))
+    return parse_config_text(text, base=base, source=str(path))
 
 
 def config_to_dict(config: TrainConfig) -> dict:

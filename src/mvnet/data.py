@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .features import tokenize
+from .files import read_lines
 
 
 class DatasetError(RuntimeError):
@@ -31,32 +32,31 @@ def load_dataset(path, max_malformed_fraction: float = 0.01,
     docs: list[LabeledDocument] = []
     malformed = 0
     total = 0
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            total += 1
-            if "\t" not in line:
-                malformed += 1
-                continue
-            label_text, _, body = line.partition("\t")
-            try:
-                label = int(label_text.strip())
-            except ValueError:
-                malformed += 1
-                continue
-            if label < 0:
-                malformed += 1
-                continue
-            if classes is not None and label >= classes:
-                raise DatasetError(f"{path}:{number}: label {label} out of range "
-                                   f"for {classes} classes")
-            tokens = tokenize(body)
-            if not tokens:
-                malformed += 1
-                continue
-            docs.append(LabeledDocument(label=label, tokens=tokens, raw=body))
+    for number, raw in read_lines(path, DatasetError):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        total += 1
+        if "\t" not in line:
+            malformed += 1
+            continue
+        label_text, _, body = line.partition("\t")
+        try:
+            label = int(label_text.strip())
+        except ValueError:
+            malformed += 1
+            continue
+        if label < 0:
+            malformed += 1
+            continue
+        if classes is not None and label >= classes:
+            raise DatasetError(f"{path}:{number}: label {label} out of range "
+                               f"for {classes} classes")
+        tokens = tokenize(body)
+        if not tokens:
+            malformed += 1
+            continue
+        docs.append(LabeledDocument(label=label, tokens=tokens, raw=body))
     if total == 0:
         raise DatasetError(f"{path}: no documents")
     if malformed > max_malformed_fraction * total:

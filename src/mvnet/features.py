@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .files import read_lines
 from .numeric import (
     ShapeError,
     Tensor,
@@ -102,27 +103,26 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator,
     """
     vectors: dict[str, np.ndarray] = {}
     width = dim
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split(" ")
-            token, values = fields[0], fields[1:]
-            if not token or not values:
-                raise EmbeddingFileError(f"{path}:{lineno}: expected 'token v1 v2 ...'")
-            try:
-                vector = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
-            if not np.isfinite(vector).all():
-                raise EmbeddingFileError(f"{path}:{lineno}: non-finite value")
-            if width is None:
-                width = vector.size
-            elif vector.size != width:
-                raise EmbeddingFileError(
-                    f"{path}:{lineno}: expected {width} dimensions, found {vector.size}")
-            vectors[token] = vector
+    for lineno, raw in read_lines(path, EmbeddingFileError):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split(" ")
+        token, values = fields[0], fields[1:]
+        if not token or not values:
+            raise EmbeddingFileError(f"{path}:{lineno}: expected 'token v1 v2 ...'")
+        try:
+            vector = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
+        if not np.isfinite(vector).all():
+            raise EmbeddingFileError(f"{path}:{lineno}: non-finite value")
+        if width is None:
+            width = vector.size
+        elif vector.size != width:
+            raise EmbeddingFileError(
+                f"{path}:{lineno}: expected {width} dimensions, found {vector.size}")
+        vectors[token] = vector
     if width is None:
         raise EmbeddingFileError(f"{path}: no vectors found")
     table = rng.uniform(-0.05, 0.05, size=(len(vocab), width))

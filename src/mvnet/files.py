@@ -1,4 +1,5 @@
-"""Atomic file replacement: a written file appears whole or not at all."""
+"""Atomic file replacement, so a written file appears whole or not at all,
+and line-numbered reading of UTF-8 text inputs."""
 
 from __future__ import annotations
 
@@ -26,3 +27,18 @@ def atomic_open(path, mode: str = "w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(temp)
         raise
+
+
+def read_lines(path, error: type[Exception]):
+    """Yield the number (from 1) and text of each line of a UTF-8 file, split
+    and decoded as text mode reads it, newline kept. A line holding bytes
+    that are not UTF-8 raises ``error("<path>:<line>: not UTF-8 text")``;
+    text mode would stop at the first bad chunk without naming a line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise error(f"{path}:{number}: not UTF-8 text") from None
+            yield number, line

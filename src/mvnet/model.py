@@ -97,14 +97,15 @@ def attention_weights(scores: Tensor, valid: np.ndarray | None = None) -> Tensor
     return softmax_vec(scores, valid)
 
 
-def select(weights: Tensor, feature_rows: Tensor) -> Tensor:
-    """Attention-weighted sum of each document's feature rows:
-    (B, R) weights and (B, R, d) rows give (B, d)."""
-    if weights.ndim != 2 or feature_rows.ndim != 3 \
-            or weights.shape != feature_rows.shape[:2]:
+def select(weights: Tensor, columns: Tensor) -> Tensor:
+    """Attention-weighted sum of each document's feature rows, given as the
+    columns of ``transpose(feature_rows)`` so that all heads share one
+    transpose: (B, R) weights and (B, d, R) columns give (B, d)."""
+    if weights.ndim != 2 or columns.ndim != 3 \
+            or weights.shape != (columns.shape[0], columns.shape[2]):
         raise ShapeError("select", f"weights {weights.shape} do not match "
-                                   f"rows {feature_rows.shape}")
-    return matvec(transpose(feature_rows), weights)
+                                   f"columns {columns.shape}")
+    return matvec(columns, weights)
 
 
 def compose_views(selections: list[Tensor], stack: ViewStack) -> list[Tensor]:
@@ -349,19 +350,31 @@ class MvnModel:
         if padded:
             lengths = np.array(lengths)
             valid = np.arange(width) < lengths[:, None]
-        feature_rows = gather_rows(
-            project(gather_rows(bound.embedding, distinct), bound.projection), ids)
+        token_rows = project(gather_rows(bound.embedding, distinct), bound.projection)
+        feature_rows = gather_rows(token_rows, ids)
+        # A row's attention score depends on the row alone, so each head
+        # scores the distinct rows once and the scores are gathered per
+        # position through ``row_index``.
+        head_rows, row_index = token_rows, ids
         if bound.conv is not None:
             pooled = ngram_features(feature_rows, bound.conv, lengths if padded else None)
             feature_rows = augment_features(feature_rows, pooled)
+            # Document b's pooled row of the k-th order is table row
+            # U + k * B + b, with U = len(slots) token rows before them.
+            batch = len(docs)
+            head_rows = concat_rows([token_rows, *pooled])
+            row_index = np.hstack([ids, len(slots) + np.arange(batch)[:, None]
+                                   + batch * np.arange(len(pooled))])
             if padded:
                 valid = np.pad(valid, ((0, 0), (0, len(pooled))), constant_values=True)
+        columns = transpose(feature_rows)
         selections = []
         weights = []
         for head in bound.heads:
-            w = attention_weights(attention_scores(head, feature_rows), valid)
+            scores = gather_rows(attention_scores(head, head_rows), row_index)
+            w = attention_weights(scores, valid)
             weights.append(w)
-            selections.append(select(w, feature_rows))
+            selections.append(select(w, columns))
         views = compose_views(selections, bound.stack)
         mask = dropout_mask if mode == "train" else None
         return classify(views, bound.classifier, mask), selections, views, weights

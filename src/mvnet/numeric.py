@@ -122,9 +122,13 @@ class Graph:
         self.nodes.append(node)
         return node
 
-    def _record(self, op: str, value, inputs: tuple, push) -> Tensor:
+    def _record(self, op: str, value, inputs: tuple, push, copied: bool = False) -> Tensor:
+        """Wrap an op's result. ``copied`` marks a result whose entries are
+        all copied from its inputs, which were screened when they were made,
+        so it skips the non-finite screen."""
         arr = np.asarray(value, dtype=np.float64)
-        _require_finite(op, arr)
+        if not copied:
+            _require_finite(op, arr)
         requires = any(t.requires_grad for t in inputs)
         node = Tensor(self, len(self.nodes), arr, requires, op)
         if requires:
@@ -173,7 +177,9 @@ def _accum(tensor: Tensor, grad, own: bool = False) -> None:
         if own and isinstance(grad, np.ndarray) and grad.dtype == np.float64:
             tensor.grad = grad
         else:
-            tensor.grad = np.array(grad, dtype=np.float64)
+            # C order, so the optimizer's flat views of a leaf gradient
+            # never copy it (a transposed push hands over a strided view).
+            tensor.grad = np.array(grad, dtype=np.float64, order="C")
     else:
         tensor.grad += grad
 
@@ -285,7 +291,7 @@ def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         for p, lo, hi in zip(parts, offsets, offsets[1:]):
             _accum(p, grad[lead + (slice(lo, hi),)])
 
-    return graph._record("concat_rows", out, tuple(parts), push)
+    return graph._record("concat_rows", out, tuple(parts), push, copied=True)
 
 
 def unfold(a: Tensor, order: int) -> Tensor:
@@ -308,7 +314,7 @@ def unfold(a: Tensor, order: int) -> Tensor:
             full[..., k:k + count, :] += grad[..., k * width:(k + 1) * width]
         _accum(a, full, own=True)
 
-    return a.graph._record("unfold", out, (a,), push)
+    return a.graph._record("unfold", out, (a,), push, copied=True)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -347,7 +353,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     def push(grad):
         _accum(a, np.asarray(grad).reshape(a.shape))
 
-    return a.graph._record("reshape", out, (a,), push)
+    return a.graph._record("reshape", out, (a,), push, copied=True)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -359,7 +365,7 @@ def transpose(a: Tensor) -> Tensor:
     def push(grad):
         _accum(a, grad.swapaxes(-1, -2))
 
-    return a.graph._record("transpose", out, (a,), push)
+    return a.graph._record("transpose", out, (a,), push, copied=True)
 
 
 def max_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -386,7 +392,7 @@ def max_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
         np.put_along_axis(full, winners, grad[..., None, :], axis=-2)
         _accum(a, full, own=True)
 
-    return a.graph._record("max_rows", out, (a,), push)
+    return a.graph._record("max_rows", out, (a,), push, copied=True)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -398,7 +404,8 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size == 0:
         raise ShapeError("gather_rows", "empty index list")
-    if (idx < 0).any() or (idx >= a.shape[0]).any():
+    # One pass: a negative index reads as a huge unsigned one.
+    if idx.view(np.uintp).max() >= a.shape[0]:
         raise ShapeError("gather_rows", f"row index out of range for {a.shape[0]} rows")
     out = a.value[idx]
 
@@ -413,7 +420,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
             grad.reshape((-1,) + a.shape[1:])[order], starts, axis=0)
         _accum(a, full, own=True)
 
-    return a.graph._record("gather_rows", out, (a,), push)
+    return a.graph._record("gather_rows", out, (a,), push, copied=True)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

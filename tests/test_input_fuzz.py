@@ -1,0 +1,125 @@
+"""Property tests for the text input boundaries: a config, a dataset or an
+embeddings file either loads or fails with its module's own error class,
+and the command line turns each of those errors into one ``error: ...``
+line and exit status 2."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from mvnet.cli import main
+from mvnet.config import ConfigError, TrainConfig, parse_config_text
+from mvnet.data import DatasetError, load_dataset
+from mvnet.features import EmbeddingFileError, Vocabulary, load_embeddings
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+KEYS = [f.name for f in dataclasses.fields(TrainConfig)] + ["color", ""]
+NUMBERS = st.one_of(st.integers(-10**6, 10**6).map(str),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-400", "9" * 5000,
+                                     "none", "true", "off", "full", "chain", "no-links"]))
+VALUES = st.one_of(NUMBERS, st.text(max_size=8))
+
+
+def splice(text: bytes, noise: bytes, at: int) -> bytes:
+    at %= len(text) + 1
+    return text[:at] + noise + text[at:]
+
+
+def lines_with_noise(line):
+    """Files built from plausible lines, with arbitrary bytes spliced in or
+    in place of the whole file."""
+    text = st.lists(line, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8"))
+    spliced = st.builds(splice, text, st.binary(min_size=1, max_size=4), st.integers(0, 999))
+    return st.one_of(text, spliced, st.binary(max_size=64))
+
+
+CONFIG_LINES = st.one_of(
+    st.builds(lambda k, v, sep: f"{k}{sep}{v}", st.sampled_from(KEYS), VALUES,
+              st.sampled_from([" = ", "=", " : "])),
+    st.text(max_size=12))
+DATASET_LINES = st.one_of(
+    st.builds(lambda label, body: f"{label}\t{body}",
+              st.one_of(st.integers(-2, 6).map(str), NUMBERS, st.text(max_size=3)),
+              st.text(max_size=16)),
+    st.text(max_size=16))
+EMBEDDING_LINES = st.one_of(
+    st.builds(lambda token, values: " ".join([token, *values]),
+              st.sampled_from(["alpha", "beta", "<pad>", "<unk>", "zeta", ""]),
+              st.lists(NUMBERS, max_size=4)),
+    st.text(max_size=16))
+
+
+@FUZZ
+@given(text=st.lists(CONFIG_LINES, max_size=6).map("\n".join))
+def test_config_text_parses_or_raises_config_error(text):
+    try:
+        config = parse_config_text(text)
+    except ConfigError as exc:
+        assert str(exc)
+        return
+    config.validate()
+
+
+@FUZZ
+@given(content=lines_with_noise(DATASET_LINES), classes=st.none() | st.integers(1, 5))
+def test_dataset_loads_or_raises_dataset_error(tmp_path, content, classes):
+    path = tmp_path / "data.tsv"
+    path.write_bytes(content)
+    try:
+        docs, malformed = load_dataset(path, classes=classes)
+    except DatasetError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    assert docs and malformed >= 0
+    for doc in docs:
+        assert doc.tokens and doc.label >= 0
+        assert classes is None or doc.label < classes
+
+
+@FUZZ
+@given(content=lines_with_noise(EMBEDDING_LINES), dim=st.none() | st.integers(1, 3))
+def test_embeddings_load_or_raise_embedding_file_error(tmp_path, content, dim):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(content)
+    vocab = Vocabulary.from_tokens(["alpha", "beta"])
+    try:
+        table = load_embeddings(path, vocab, np.random.default_rng(0), dim=dim)
+    except EmbeddingFileError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    assert table.shape[0] == len(vocab) and (dim is None or table.shape[1] == dim)
+    assert np.isfinite(table).all()
+
+
+TINY_CONFIG = "views = 2\nview_dim = 4\nembed_dim = 3\nmax_epochs = 1\nconv_features = false\n"
+
+
+@pytest.mark.parametrize("role,content,message", [
+    ("config", b"views = 2\ndropout = lots\n", ":2: bad value for dropout"),
+    ("config", b"views = 2\nview_dim = \xff\n", ":2: not UTF-8 text"),
+    ("train", b"0\tred apple\n1\tblue \xc3\x28 sky\n", ":2: not UTF-8 text"),
+    ("train", b"0\tred apple\nno tab here\n", "1 of 2 lines malformed"),
+    ("embeddings", b"red 0.1 0.2 0.3\nblue 0.1 0.2\n", ":2: expected 3 dimensions"),
+    ("embeddings", b"red 0.1 0.2 \xfe\n", ":1: not UTF-8 text"),
+])
+def test_each_input_error_prints_one_line_and_exits_2(tmp_path, capsys, role, content,
+                                                      message):
+    paths = {"config": tmp_path / "run.cfg", "train": tmp_path / "train.tsv",
+             "dev": tmp_path / "dev.tsv", "embeddings": tmp_path / "vectors.txt"}
+    paths["config"].write_text(TINY_CONFIG)
+    paths["train"].write_text("0\tred apple\n1\tblue sky\n")
+    paths["dev"].write_text("0\tred apple\n1\tblue sky\n")
+    paths["embeddings"].write_text("red 0.1 0.2 0.3\n")
+    paths[role].write_bytes(content)
+    code = main(["train", "--config", str(paths["config"]), "--train", str(paths["train"]),
+                 "--dev", str(paths["dev"]), "--embeddings", str(paths["embeddings"]),
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {paths[role]}") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")

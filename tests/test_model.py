@@ -34,7 +34,13 @@ from mvnet.model import (
     select,
     view_stack_param_count,
 )
-from mvnet.numeric import Graph, cross_entropy, finite_diff_check, gather_rows
+from mvnet.numeric import (
+    Graph,
+    cross_entropy,
+    finite_diff_check,
+    gather_rows,
+    transpose,
+)
 from mvnet.training import sample_dropout_mask
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -326,7 +332,9 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_each_distinct_token_is_projected_once(self, monkeypatch, conv):
-        model = make_model(views=3, view_dim=4, embed_dim=5, conv_features=conv)
+        # Projection and attention scores run once per distinct row and are
+        # gathered per position; logits and gradients must match a reference
+        # that projects and scores every padded position on its own.
         token_lists = [["alpha", "beta", "alpha"],
                        ["beta", "beta", "zzz", "qqq", "alpha", "gamma", "beta"],
                        ["gamma"]]
@@ -334,42 +342,72 @@ class TestBatchedForward:
                 for i, t in enumerate(token_lists)]
         labels = [doc.label for doc in docs]
         projected = []
+        scored = []
 
         def recording_project(rows, proj):
             projected.append(rows.shape[0])
             return project(rows, proj)
 
+        def recording_scores(head, rows):
+            scored.append(rows.shape[0])
+            return attention_scores(head, rows)
+
         monkeypatch.setattr(model_module, "project", recording_project)
+        monkeypatch.setattr(model_module, "attention_scores", recording_scores)
+        for variant in VARIANTS:
+            projected.clear()
+            scored.clear()
+            model = make_model(views=4, view_dim=4, embed_dim=5, variant=variant,
+                               conv_features=conv)
+            graph = Graph()
+            bound = model.bind(graph)
+            logits, _ = model.forward_batch(graph, docs, mode="train", bound=bound)
+            graph.backward(cross_entropy(logits, labels))
+            # alpha, beta, gamma, <unk> (zzz and qqq) and <pad>; each of the 4
+            # heads also scores one pooled row per n-gram order and document.
+            assert projected == [5]
+            pooled = len(NGRAM_ORDERS) * len(docs) if conv else 0
+            assert scored == [5 + pooled] * 4
+
+            ref_graph = Graph()
+            ref = model.bind(ref_graph)
+            lengths = np.array([len(t) for t in token_lists])
+            width = max(lengths.max(), max(NGRAM_ORDERS))
+            ids = np.full((len(docs), width), model.vocab.pad_index)
+            for row, tokens in zip(ids, token_lists):
+                row[:len(tokens)] = [model.vocab.lookup(t) for t in tokens]
+            rows = project(gather_rows(ref.embedding, ids), ref.projection)
+            valid = np.arange(width) < lengths[:, None]
+            if conv:
+                pooled_rows = ngram_features(rows, ref.conv, lengths)
+                rows = augment_features(rows, pooled_rows)
+                valid = np.pad(valid, ((0, 0), (0, len(pooled_rows))),
+                               constant_values=True)
+            columns = transpose(rows)
+            selections = [select(attention_weights(attention_scores(head, rows), valid),
+                                 columns)
+                          for head in ref.heads]
+            ref_logits = classify(compose_views(selections, ref.stack), ref.classifier)
+            ref_graph.backward(cross_entropy(ref_logits, labels))
+
+            np.testing.assert_allclose(logits.value, ref_logits.value, rtol=1e-12, atol=0,
+                                       err_msg=variant)
+            for name, leaf in bound.leaves.items():
+                np.testing.assert_allclose(leaf.grad, ref.leaves[name].grad, rtol=1e-12,
+                                           atol=1e-18, err_msg=f"{variant} {name}")
+
+    @pytest.mark.parametrize("conv", [False, True])
+    def test_every_leaf_gradient_is_c_contiguous(self, conv):
+        # The optimizer updates each parameter through flat views of its
+        # gradient, which would copy a gradient in any other order.
+        model = make_model(conv_features=conv)
+        docs = [make_doc(n, label=n % 2) for n in (2, 8, 5)]
         graph = Graph()
         bound = model.bind(graph)
         logits, _ = model.forward_batch(graph, docs, mode="train", bound=bound)
-        graph.backward(cross_entropy(logits, labels))
-        # alpha, beta, gamma, <unk> (zzz and qqq) and <pad>.
-        assert projected == [5]
-
-        # Reference: every token position embedded and projected on its own.
-        ref_graph = Graph()
-        ref = model.bind(ref_graph)
-        lengths = np.array([len(t) for t in token_lists])
-        width = max(lengths.max(), max(NGRAM_ORDERS))
-        ids = np.full((len(docs), width), model.vocab.pad_index)
-        for row, tokens in zip(ids, token_lists):
-            row[:len(tokens)] = [model.vocab.lookup(t) for t in tokens]
-        rows = project(gather_rows(ref.embedding, ids), ref.projection)
-        valid = np.arange(width) < lengths[:, None]
-        if conv:
-            pooled = ngram_features(rows, ref.conv, lengths)
-            rows = augment_features(rows, pooled)
-            valid = np.pad(valid, ((0, 0), (0, len(pooled))), constant_values=True)
-        selections = [select(attention_weights(attention_scores(head, rows), valid), rows)
-                      for head in ref.heads]
-        ref_logits = classify(compose_views(selections, ref.stack), ref.classifier)
-        ref_graph.backward(cross_entropy(ref_logits, labels))
-
-        np.testing.assert_allclose(logits.value, ref_logits.value, rtol=1e-12, atol=0)
+        graph.backward(cross_entropy(logits, [doc.label for doc in docs]))
         for name, leaf in bound.leaves.items():
-            np.testing.assert_allclose(leaf.grad, ref.leaves[name].grad, rtol=1e-12,
-                                       atol=1e-18, err_msg=name)
+            assert leaf.grad.flags.c_contiguous, name
 
     def test_views_do_not_depend_on_the_batch(self):
         model = make_model()

@@ -301,6 +301,12 @@ class TestErrors:
         with pytest.raises(ShapeError, match="linear"):
             linear(_leaf(g, np.ones(x_shape)), _leaf(g, np.ones(w_shape)), bias)
 
+    @pytest.mark.parametrize("index", [-1, 3, -2**62, 2**62])
+    def test_gather_rows_rejects_out_of_range_index(self, index):
+        table = _leaf(Graph(), np.ones((3, 2)))
+        with pytest.raises(ShapeError, match=r"^gather_rows: row index out of range for 3 rows$"):
+            gather_rows(table, np.array([[0, 2], [index, 1]]))
+
     def test_cross_graph_operands_rejected(self):
         a = _leaf(Graph(), np.ones((2, 2)))
         b = _leaf(Graph(), np.ones((2, 2)))
