@@ -34,15 +34,15 @@ class ViewDataset:
 
 
 def extract_view_representations(model: MvnModel, dataset) -> ViewDataset:
-    """Eval-mode view vectors for every document, from forward passes in
-    batches of ``config.batch_size``."""
+    """Eval-mode view vectors for every document, in dataset order, from
+    forward passes in batches of ``config.batch_size``."""
     if not dataset:
         raise ValueError("extract_view_representations: empty dataset")
-    stacks = [np.stack([v.value for v in views], axis=1)
-              for _, _, views in model.eval_batches(dataset)]
+    vectors = np.empty((len(dataset), model.config.views, model.config.view_dim))
+    for positions, _, _, views in model.eval_batches(dataset):
+        vectors[positions] = np.stack([v.value for v in views], axis=1)
     labels = [doc.label for doc in dataset]
-    return ViewDataset(vectors=np.concatenate(stacks),
-                       labels=np.array(labels, dtype=np.intp))
+    return ViewDataset(vectors=vectors, labels=np.array(labels, dtype=np.intp))
 
 
 @dataclass

@@ -45,6 +45,7 @@ from .numeric import (
     linear,
     matvec,
     mul,
+    require_finite,
     reshape,
     softmax_vec,
     tanh_ew,
@@ -267,6 +268,8 @@ class MvnModel:
         self.config = config
         self.vocab = vocab
         self.num_classes = num_classes
+        for name, array in params.items():
+            require_finite("MvnModel", array, repr(name))
         self.params = params
 
     @classmethod
@@ -280,8 +283,9 @@ class MvnModel:
         return OrderedDict((k, v.copy()) for k, v in self.params.items())
 
     def bind(self, graph: Graph, leaves=None, requires_grad: bool = True) -> BoundMvn:
-        """Create one leaf per parameter array on the given graph; without
-        ``requires_grad`` a forward pass keeps nothing on the tape.
+        """One leaf per parameter array on the given graph, not screened again:
+        the arrays are screened when the model is built and at each update.
+        Without ``requires_grad`` a forward pass keeps nothing on the tape.
 
         A premade name -> leaf mapping (covering every parameter) can be
         passed instead, which gradient checkers use to own the leaves.
@@ -289,7 +293,7 @@ class MvnModel:
         cfg = self.config
         if leaves is None:
             leaves = OrderedDict(
-                (name, graph.tensor(array, requires_grad=requires_grad, name=name))
+                (name, graph.parameter(array, requires_grad=requires_grad, name=name))
                 for name, array in self.params.items())
         elif set(leaves) != set(self.params):
             raise ValueError("bind: leaf names do not match parameter names")
@@ -428,16 +432,19 @@ class MvnModel:
 
     def eval_batches(self, docs):
         """Eval-mode :meth:`forward_batch` over ``docs`` in batches of
-        ``config.batch_size``, in order. Yields each batch's documents, logits
-        and views; a batch's tape is released once the caller moves on."""
+        ``config.batch_size``, shortest documents first (a stable sort), so a
+        batch pads little. Yields each batch's positions in ``docs``, documents,
+        logits and views; a batch's tape is released once the caller moves on."""
         size = self.config.batch_size
-        for start in range(0, len(docs), size):
-            batch = docs[start:start + size]
+        order = sorted(range(len(docs)), key=lambda i: len(docs[i].tokens))
+        for start in range(0, len(order), size):
+            positions = order[start:start + size]
+            batch = [docs[i] for i in positions]
             graph = Graph()
             try:
                 logits, views = self.forward_batch(
                     graph, batch, bound=self.bind(graph, requires_grad=False))
-                yield batch, logits, views
+                yield positions, batch, logits, views
             finally:
                 graph.release()
 

@@ -26,6 +26,7 @@ __all__ = [
     "Tensor",
     "NumericError",
     "ShapeError",
+    "require_finite",
     "matvec",
     "mul",
     "tanh_ew",
@@ -61,12 +62,12 @@ def _as_value(value) -> np.ndarray:
     return np.ascontiguousarray(value, dtype=np.float64)
 
 
-def _require_finite(op: str, value: np.ndarray) -> None:
+def require_finite(op: str, value: np.ndarray, what: str = "result") -> None:
     # np.sum is non-finite whenever any entry is NaN/Inf; cheap screen first,
     # exact scan only on suspicion (the sum may overflow on its own).
     if not math.isfinite(value.sum()):
         if not bool(np.isfinite(value).all()):
-            raise NumericError(f"{op}: result contains non-finite values")
+            raise NumericError(f"{op}: {what} contains non-finite values")
 
 
 class Tensor:
@@ -117,8 +118,13 @@ class Graph:
                name: str | None = None) -> Tensor:
         """Create a leaf node; float64 C-order input arrays are wrapped, not copied."""
         arr = _as_value(value)
-        _require_finite("tensor", arr)
-        node = Tensor(self, len(self.nodes), arr, requires_grad, "leaf", name)
+        require_finite("tensor", arr)
+        return self.parameter(arr, requires_grad, name)
+
+    def parameter(self, value, requires_grad: bool = False, name: str | None = None) -> Tensor:
+        """:meth:`tensor` without the non-finite screen, for an array screened
+        where it was made or last changed, such as a model parameter."""
+        node = Tensor(self, len(self.nodes), _as_value(value), requires_grad, "leaf", name)
         self.nodes.append(node)
         return node
 
@@ -128,7 +134,7 @@ class Graph:
         so it skips the non-finite screen."""
         arr = np.asarray(value, dtype=np.float64)
         if not copied:
-            _require_finite(op, arr)
+            require_finite(op, arr)
         requires = any(t.requires_grad for t in inputs)
         node = Tensor(self, len(self.nodes), arr, requires, op)
         if requires:

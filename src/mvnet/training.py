@@ -14,7 +14,7 @@ from .features import build_vocab, init_embeddings, load_embeddings
 from .model import MvnModel
 # mean_scalars has no caller here any more; it stays importable from this
 # module because the traced benchmark run (perfbench/layers.py) wraps it.
-from .numeric import Graph, NumericError, cross_entropy, mean_scalars  # noqa: F401
+from .numeric import Graph, NumericError, cross_entropy, mean_scalars, require_finite  # noqa: F401
 
 
 # Block length of the Adadelta step: scratch and array slices stay in cache.
@@ -41,14 +41,15 @@ def adadelta_step(params, grads, state: AdadeltaState, lr_scale: float,
     """One accumulated-update step, in place, per coordinate:
 
         Eg <- rho * Eg + (1 - rho) * g^2
-        delta = -sqrt(Ex + eps) / sqrt(Eg + eps) * g
+        delta = sqrt(Ex + eps) / sqrt(Eg + eps) * g
         Ex <- rho * Ex + (1 - rho) * delta^2
-        x  <- x + lr_scale * delta
+        x  <- x - lr_scale * delta
 
     It runs over blocks of ``ADADELTA_BLOCK`` elements in the state's scratch,
     rounding in the order written, so it allocates no parameter-sized array
     and matches the whole-array expression bit for bit. Parameters must be
-    C-contiguous: they are updated through flat views.
+    C-contiguous: they are updated through flat views. A NaN or infinite
+    value in an updated block raises ``NumericError`` naming the parameter.
     """
     for name, x in params.items():
         g = grads[name]
@@ -63,12 +64,13 @@ def adadelta_step(params, grads, state: AdadeltaState, lr_scale: float,
             a, b = state.scratch[:, :gb.size]
             eg *= rho
             eg += np.multiply(np.multiply(gb, 1.0 - rho, out=a), gb, out=a)
-            delta = np.negative(np.sqrt(np.add(ex, eps, out=a), out=a), out=a)
+            delta = np.sqrt(np.add(ex, eps, out=a), out=a)
             delta /= np.sqrt(np.add(eg, eps, out=b), out=b)
             delta *= gb
             ex *= rho
             ex += np.multiply(np.multiply(delta, 1.0 - rho, out=b), delta, out=b)
-            xb += np.multiply(delta, lr_scale, out=delta)
+            xb -= np.multiply(delta, lr_scale, out=delta)
+            require_finite("adadelta_step", xb, repr(name))
     return params, state
 
 
@@ -141,6 +143,9 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
                                             dropout_mask=mask, bound=bound)
             batch_loss = cross_entropy(logits, labels)
             graph.backward(batch_loss)
+            grads = {name: leaf.grad for name, leaf in bound.leaves.items()}
+            adadelta_step(model.params, grads, state,
+                          config.lr_scale, config.rho, config.epsilon)
         except NumericError as exc:
             exc.args = (f"batch {number}: {exc}",)
             raise
@@ -148,9 +153,6 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
         if previous is not None:
             previous.release()
         previous = graph
-        grads = {name: leaf.grad for name, leaf in bound.leaves.items()}
-        adadelta_step(model.params, grads, state,
-                      config.lr_scale, config.rho, config.epsilon)
         loss_total += batch_loss.item() * len(docs)
     previous.release()
     count = len(dataset)
@@ -207,7 +209,7 @@ def evaluate(model: MvnModel, dataset) -> EvalResult:
         raise ValueError("evaluate: empty dataset")
     golds, preds = [], []
     loss_total = 0.0
-    for docs, logits, _ in model.eval_batches(dataset):
+    for _, docs, logits, _ in model.eval_batches(dataset):
         labels = [doc.label for doc in docs]
         loss_total += cross_entropy(logits, labels).item() * len(docs)
         golds.extend(labels)

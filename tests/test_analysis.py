@@ -18,6 +18,7 @@ from mvnet.analysis import (
     view_sweep,
 )
 from mvnet.data import LabeledDocument
+from mvnet.numeric import Graph
 from mvnet.training import build_model, fit
 
 
@@ -164,6 +165,21 @@ class TestViewRepresentations:
         assert data.view(1).shape == (10, tiny_config.view_dim)
         assert list(data.labels) == [d.label for d in dev[:10]]
         assert len(data) == 10
+
+    def test_vectors_match_one_document_views_in_dataset_order(self, tiny_corpus,
+                                                                tiny_config):
+        # Batches run shortest first; the rows must come back in dataset order.
+        train, _, test = tiny_corpus
+        config = dataclasses.replace(tiny_config, batch_size=7, conv_features=True)
+        model = build_model(config, train)
+        docs = sorted(test[:20], key=lambda doc: -len(doc.tokens)) + [test[3]]
+        data = extract_view_representations(model, docs)
+        assert list(data.labels) == [doc.label for doc in docs]
+        for row, doc in enumerate(docs):
+            _, bundle = model.forward(Graph(), doc)
+            for index, view in enumerate(bundle.views):
+                np.testing.assert_allclose(data.vectors[row, index], view.value,
+                                           rtol=0, atol=1e-12)
 
     def test_probing_trained_views_recovers_classes(self, tiny_corpus, tiny_config):
         train, dev, test = tiny_corpus

@@ -256,11 +256,11 @@ class TestAtomicWrites:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
         before = path.read_bytes()
-        params = model.copy_params()
+        broken = MvnModel(model.config, model.vocab, model.num_classes, model.copy_params())
         # The last tensor cannot be converted, so the save fails after the
-        # header and every other tensor have been written.
-        params["classifier.out_bias"] = np.array(["x"] * model.num_classes)
-        broken = MvnModel(model.config, model.vocab, model.num_classes, params)
+        # header and every other tensor have been written. (The model screens
+        # its parameters when it is built, so the bad one is set afterwards.)
+        broken.params["classifier.out_bias"] = np.array(["x"] * model.num_classes)
         with pytest.raises(ValueError):
             save_checkpoint(path, broken)
         assert path.read_bytes() == before

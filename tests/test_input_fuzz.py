@@ -1,7 +1,7 @@
-"""Property tests for the text input boundaries: a config, a dataset or an
-embeddings file either loads or fails with its module's own error class,
-and the command line turns each of those errors into one ``error: ...``
-line and exit status 2."""
+"""Property tests for the input boundaries: a config, a dataset, an
+embeddings file or a checkpoint either loads or fails with its module's own
+error class, and the command line turns each of those errors into one
+``error: ...`` line and exit status 2."""
 
 import dataclasses
 
@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from mvnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mvnet.cli import main
 from mvnet.config import ConfigError, TrainConfig, parse_config_text
 from mvnet.data import DatasetError, load_dataset
-from mvnet.features import EmbeddingFileError, Vocabulary, load_embeddings
+from mvnet.features import EmbeddingFileError, Vocabulary, build_vocab, load_embeddings
+from mvnet.model import MvnModel
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -123,3 +125,56 @@ def test_each_input_error_prints_one_line_and_exits_2(tmp_path, capsys, role, co
     assert code == 2
     assert err.startswith(f"error: {paths[role]}") and message in err
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    """A valid checkpoint small enough that its header is a fair share of it."""
+    config = TrainConfig(views=3, view_dim=2, embed_dim=2, conv_features=False)
+    model = MvnModel.create(config, build_vocab([["red", "blue"]]), 2,
+                            np.random.default_rng(0))
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, model)
+    return path.read_bytes()
+
+
+def corrupt(raw: bytes, keep: int, flips) -> bytes:
+    """``raw`` cut to ``keep`` bytes, then each (position, mask) flip xored in."""
+    data = bytearray(raw[:keep])
+    for position, mask in flips:
+        if data:
+            data[position % len(data)] ^= mask
+    return bytes(data)
+
+
+@FUZZ
+@given(keep=st.integers(0, 10**6), data=st.data(),
+       flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4))
+def test_corrupt_checkpoint_loads_finite_or_raises_checkpoint_error(
+        tmp_path, checkpoint_bytes, keep, data, flips):
+    # Half the runs keep the whole file, so byte flips alone are tried too;
+    # flips land anywhere, in the header as often as in the tensors.
+    if data.draw(st.booleans()):
+        keep = len(checkpoint_bytes)
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(corrupt(checkpoint_bytes, keep, flips))
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    for name, array in model.params.items():
+        assert np.isfinite(array).all(), name
+
+
+def test_corrupt_checkpoint_prints_one_line_and_exits_2(tmp_path, capsys,
+                                                        checkpoint_bytes):
+    checkpoint = tmp_path / "model.ckpt"
+    checkpoint.write_bytes(checkpoint_bytes[:-3])
+    test = tmp_path / "test.tsv"
+    test.write_text("0\tred\n1\tblue\n")
+    code = main(["eval", "--checkpoint", str(checkpoint), "--test", str(test),
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1

@@ -14,6 +14,7 @@ from mvnet.config import (
     VARIANT_NO_LINKS,
     VARIANTS,
 )
+from mvnet.analysis import extract_view_representations
 from mvnet.data import LabeledDocument
 from mvnet import model as model_module
 from mvnet.features import (
@@ -36,12 +37,13 @@ from mvnet.model import (
 )
 from mvnet.numeric import (
     Graph,
+    NumericError,
     cross_entropy,
     finite_diff_check,
     gather_rows,
     transpose,
 )
-from mvnet.training import sample_dropout_mask
+from mvnet.training import evaluate, sample_dropout_mask
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 
@@ -147,6 +149,15 @@ class TestInitialization:
         params = init_parameters(config, 4, 2, np.random.default_rng(0), table)
         params["embedding"][0, 0] = 99.0
         assert table[0, 0] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_parameter_rejected_at_construction(self, bad):
+        model = make_model()
+        params = model.copy_params()
+        params["head2.score_vector"][1] = bad
+        with pytest.raises(NumericError, match=r"^MvnModel: 'head2.score_vector' "
+                                               r"contains non-finite values$"):
+            MvnModel(model.config, model.vocab, model.num_classes, params)
 
     def test_supplied_embedding_shape_checked(self):
         config = TrainConfig(views=2, view_dim=4, embed_dim=3)
@@ -430,6 +441,50 @@ class TestBatchedForward:
             make_model().forward_batch(Graph(), [])
 
 
+def shuffled_length_docs(model, seed=4):
+    """23 documents of 3-60 tokens in shuffled order, lengths repeating, one
+    document object listed twice."""
+    rng = np.random.default_rng(seed)
+    words = WORDS + ["unseen"]
+    docs = [LabeledDocument(label=int(rng.integers(model.num_classes)),
+                            tokens=[words[i] for i in rng.integers(len(words), size=n)],
+                            raw="")
+            for n in rng.integers(3, 61, size=22)]
+    return docs[:5] + [docs[12]] + docs[5:]
+
+
+class TestLengthOrderedScoring:
+    # Scoring batches take each call's documents shortest first; every
+    # result must still come out as if each document were scored alone.
+    def test_evaluate_matches_one_document_batches(self):
+        model = make_model(batch_size=4)
+        single = MvnModel(dataclasses.replace(model.config, batch_size=1), model.vocab,
+                          model.num_classes, model.params)
+        docs = shuffled_length_docs(model)
+        batched, alone = evaluate(model, docs), evaluate(single, docs)
+        assert batched.accuracy == alone.accuracy
+        assert batched.confusion == alone.confusion
+        assert batched.mean_loss == pytest.approx(alone.mean_loss, rel=0, abs=1e-12)
+
+    def test_batches_run_in_length_order(self, monkeypatch):
+        model = make_model(batch_size=4)
+        docs = shuffled_length_docs(model)
+        batches = []
+        forward_batch = MvnModel.forward_batch
+
+        def recording(self, graph, batch, *args, **kwargs):
+            batches.append([len(doc.tokens) for doc in batch])
+            return forward_batch(self, graph, batch, *args, **kwargs)
+
+        monkeypatch.setattr(MvnModel, "forward_batch", recording)
+        for score in (evaluate, extract_view_representations):
+            batches.clear()
+            score(model, docs)
+            assert [len(b) for b in batches] == [4] * 5 + [3]
+            lengths = [n for batch in batches for n in batch]
+            assert lengths == sorted(len(doc.tokens) for doc in docs)
+
+
 class TestPredict:
     def test_predict_is_deterministic(self):
         model = make_model()
@@ -440,6 +495,17 @@ class TestPredict:
         model = make_model()
         for n in (1, 3, 7):
             assert 0 <= model.predict(make_doc(n)) < model.num_classes
+
+    def test_value_written_in_place_is_caught_by_the_forward_pass(self):
+        # Binding does not screen the parameters again, but each of them
+        # reaches a screened op in every forward pass.
+        model = make_model(two_layer_classifier=True)
+        for name, array in model.params.items():
+            kept = array.flat[0]
+            array.flat[0] = np.nan
+            with pytest.raises(NumericError, match="non-finite"):
+                model.predict(make_doc(5))
+            array.flat[0] = kept
 
     def test_rejects_single_class(self):
         config = TrainConfig(views=2, view_dim=4, embed_dim=3)

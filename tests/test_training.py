@@ -150,6 +150,17 @@ class TestAdadelta:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_overflowing_update_names_the_parameter(self):
+        # A finite gradient whose update overflows, in the second block of
+        # "v": sqrt(1e300) / sqrt(0.05) * 1 times a learning rate of 1e300.
+        params = {"w": np.zeros(3), "v": np.zeros(ADADELTA_BLOCK + 2)}
+        grads = {name: np.ones_like(x) for name, x in params.items()}
+        state = AdadeltaState.for_params(params)
+        state.sq_update["v"][-1] = 1e300
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match=r"^adadelta_step: 'v' contains non-finite values$"):
+            adadelta_step(params, grads, state, 1e300, 0.95, 1e-6)
+
     def test_non_contiguous_parameter_rejected(self):
         params = {"x": np.zeros((4, 3)).T}
         state = AdadeltaState.for_params(params)
@@ -316,6 +327,17 @@ class TestTrainEpoch:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match=r"^batch 2: \w+: result contains non-finite"):
             train_epoch(model, train, config, streams, state)
+
+    def test_overflowing_update_names_the_batch(self, tiny_corpus, tiny_config):
+        train, _, _ = tiny_corpus
+        config = dataclasses.replace(tiny_config, batch_size=50, lr_scale=1e300)
+        model = build_model(config, train)
+        state = AdadeltaState.for_params(model.params)
+        state.sq_update["classifier.out_bias"][:] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"^batch 1: adadelta_step: 'classifier.out_bias' "
+                                    r"contains non-finite values$"):
+            train_epoch(model, train, config, RngStreams.from_seed(config.seed), state)
 
     def test_empty_dataset_rejected(self, tiny_config):
         model_source = [  # one doc is enough to build the model itself
