@@ -10,9 +10,7 @@ append one max-pooled n-gram vector per filter order.
 import numpy as np
 
 from mvnet.features import (
-    ConvFilterBank,
     NGRAM_ORDERS,
-    Projection,
     augment_features,
     build_vocab,
     init_embeddings,
@@ -39,21 +37,20 @@ table = init_embeddings(vocab, embed_dim, rng)
 
 graph = Graph()
 rows = graph.tensor(table[[vocab.lookup(t) for t in tokens]])
-projection = Projection(
-    weight=graph.tensor(rng.normal(size=(embed_dim, feature_dim)) * 0.3),
-    bias=graph.tensor(np.zeros(feature_dim)),
-)
-projected = project(rows, projection)
+weight = graph.tensor(rng.normal(size=(embed_dim, feature_dim)) * 0.3)
+bias = graph.tensor(np.zeros(feature_dim))
+projected = project(rows, weight, bias)
 print(f"\nprojected word rows: {projected.shape}")
 
 # One filter per n-gram order slides over the projected rows; max pooling
-# keeps the strongest response per output coordinate.
-bank = ConvFilterBank({
-    order: (graph.tensor(rng.normal(size=(feature_dim, order * feature_dim)) * 0.2),
-            graph.tensor(np.zeros(feature_dim)))
-    for order in NGRAM_ORDERS
-})
-pooled = ngram_features(projected, bank)
+# keeps the strongest response per output coordinate. The filters are looked
+# up by the names a model gives its parameters.
+filters = {}
+for order in NGRAM_ORDERS:
+    filters[f"ngram{order}.filter"] = graph.tensor(
+        rng.normal(size=(feature_dim, order * feature_dim)) * 0.2)
+    filters[f"ngram{order}.bias"] = graph.tensor(np.zeros(feature_dim))
+pooled = ngram_features(projected, filters)
 for order, vector in zip(NGRAM_ORDERS, pooled):
     print(f"  {order}-gram vector: {np.array_str(vector.value, precision=3)}")
 

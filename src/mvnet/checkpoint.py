@@ -15,6 +15,7 @@ from .config import ConfigError, config_from_dict, config_to_dict
 from .features import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from .files import atomic_open
 from .model import MvnModel, parameter_layout
+from .numeric import NumericError
 
 MAGIC = b"MVNCKPT1"
 FORMAT_VERSION = 1
@@ -124,11 +125,10 @@ def load_checkpoint(path) -> MvnModel:
         params: "OrderedDict[str, np.ndarray]" = OrderedDict()
         for name, shape in layout:
             raw = _read_exact(handle, 8 * math.prod(shape), path, f"tensor {name!r}")
-            array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            if not np.isfinite(array).all():
-                raise CheckpointError(f"{path}: tensor {name!r} holds NaN or "
-                                      f"infinite values")
-            params[name] = array
+            params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     vocab = Vocabulary(tokens=list(tokens),
                        index={t: i for i, t in enumerate(tokens)})
-    return MvnModel(config, vocab, num_classes, params)
+    try:
+        return MvnModel(config, vocab, num_classes, params)
+    except NumericError as exc:  # a tensor holds NaN or infinite values
+        raise CheckpointError(f"{path}: {exc}") from None

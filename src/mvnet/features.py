@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -133,44 +133,25 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator,
     return table
 
 
-@dataclass
-class Projection:
-    """Shared affine map plus tanh taking embedding rows to feature rows."""
-
-    weight: Tensor  # (embed_dim, feature_dim)
-    bias: Tensor    # (feature_dim,)
+def project(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """tanh(row @ weight + bias) applied to every embedding row, with the
+    (embed_dim, d) weight transposed once for one ``linear`` node."""
+    return tanh_ew(linear(rows, transpose(weight), bias))
 
 
-@dataclass
-class ConvFilterBank:
-    """One filter and bias per n-gram order; output width is the feature dim."""
-
-    filters: dict[int, tuple[Tensor, Tensor]]  # order -> (weight (d, n*d), bias (d,))
-
-    def __post_init__(self):
-        if tuple(sorted(self.filters)) != NGRAM_ORDERS:
-            raise ValueError(f"filter bank must cover orders {NGRAM_ORDERS}, "
-                             f"got {sorted(self.filters)}")
-
-
-def project(rows: Tensor, proj: Projection) -> Tensor:
-    """tanh(row @ weight + bias) applied to every embedding row, as one
-    ``linear`` node over the weight transposed once."""
-    return tanh_ew(linear(rows, transpose(proj.weight), proj.bias))
-
-
-def ngram_features(projected: Tensor, bank: ConvFilterBank,
+def ngram_features(projected: Tensor, leaves: Mapping[str, Tensor],
                    lengths: np.ndarray | None = None) -> list[Tensor]:
     """One pooled vector per n-gram order, for one text (rows, d) or for
     each text of a padded batch (B, T, d).
 
     Each window of n consecutive projected rows is flattened (one ``unfold``
-    per order), pushed through the order's filter with tanh, and the results
-    are max-pooled over window positions. The rows past a text's length (its
-    entry in ``lengths``; None means no text is padded) must be projected pad
-    rows. They fill the single window of a text shorter than n and are
-    masked out of every other text's pool, so the row count must reach the
-    largest order.
+    per order), pushed with tanh through the order's (d, n * d) filter and
+    (d,) bias, ``leaves["ngram<n>.filter"]`` and ``leaves["ngram<n>.bias"]``,
+    and the results are max-pooled over window positions. The rows past a
+    text's length (its entry in ``lengths``; None means no text is padded)
+    must be projected pad rows. They fill the single window of a text shorter
+    than n and are masked out of every other text's pool, so the row count
+    must reach the largest order.
     """
     if projected.ndim not in (2, 3):
         raise ShapeError("ngram_features",
@@ -182,14 +163,15 @@ def ngram_features(projected: Tensor, bank: ConvFilterBank,
                          f"window; pad the text with pad rows")
     pooled = []
     for order in NGRAM_ORDERS:
-        weight, bias = bank.filters[order]
         valid = None
         if lengths is not None:
             # Window p is valid while it ends inside the text; a short text
             # keeps its first window.
             last = np.maximum(np.asarray(lengths) - order, 0)
             valid = np.arange(rows - order + 1) <= np.expand_dims(last, -1)
-        activations = tanh_ew(linear(unfold(projected, order), weight, bias))
+        activations = tanh_ew(linear(unfold(projected, order),
+                                     leaves[f"ngram{order}.filter"],
+                                     leaves[f"ngram{order}.bias"]))
         pooled.append(max_rows(activations, valid))
     return pooled
 

@@ -15,8 +15,9 @@ the result it would get alone.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -29,8 +30,6 @@ from .config import (
 from .data import LabeledDocument
 from .features import (
     NGRAM_ORDERS,
-    ConvFilterBank,
-    Projection,
     Vocabulary,
     augment_features,
     ngram_features,
@@ -54,30 +53,6 @@ from .numeric import (
 
 
 @dataclass
-class SelectionHead:
-    """Attention parameters for one view."""
-
-    score_vector: Tensor   # (attention_dim,)
-    row_transform: Tensor  # (attention_dim, feature_dim)
-
-
-@dataclass
-class ViewStack:
-    """Combination matrices for the interior views, per linking variant."""
-
-    variant: str
-    matrices: list[Tensor]  # one per interior view, in view order; empty for no-links
-
-
-@dataclass
-class Classifier:
-    out_weight: Tensor
-    out_bias: Tensor
-    hidden_weight: Tensor | None = None
-    hidden_bias: Tensor | None = None
-
-
-@dataclass
 class ViewBundle:
     """Intermediates of a one-document forward pass, kept for analysis."""
 
@@ -86,10 +61,11 @@ class ViewBundle:
     attention: list[Tensor]
 
 
-def attention_scores(head: SelectionHead, feature_rows: Tensor) -> Tensor:
+def attention_scores(feature_rows: Tensor, row_transform: Tensor,
+                     score_vector: Tensor) -> Tensor:
     """One raw score per feature row: score_vector . tanh(row_transform @ row)."""
-    hidden = tanh_ew(linear(feature_rows, head.row_transform))
-    return matvec(hidden, head.score_vector)
+    hidden = tanh_ew(linear(feature_rows, row_transform))
+    return matvec(hidden, score_vector)
 
 
 def attention_weights(scores: Tensor, valid: np.ndarray | None = None) -> Tensor:
@@ -109,39 +85,36 @@ def select(weights: Tensor, columns: Tensor) -> Tensor:
     return matvec(columns, weights)
 
 
-def compose_views(selections: list[Tensor], stack: ViewStack) -> list[Tensor]:
+def compose_views(selections: list[Tensor], leaves: Mapping[str, Tensor],
+                  variant: str) -> list[Tensor]:
     """Turn per-view selections into view vectors.
 
     The first and last views are their selections unchanged. Interior view i
-    is tanh(W_i @ inputs) with no bias, where inputs concatenate the selection
-    with every earlier view (full) or just the previous view (chain). Each
-    selection and view is a (B, d) block, one row per document.
+    is tanh(leaves["view<i>.combine"] @ inputs) with no bias, where inputs
+    concatenate the selection with every earlier view (full) or just the
+    previous view (chain). Each selection and view is a (B, d) block.
     """
     count = len(selections)
-    if stack.variant == VARIANT_NO_LINKS or count <= 2:
+    if variant == VARIANT_NO_LINKS or count <= 2:
         return list(selections)
-    expected = count - 2
-    if len(stack.matrices) != expected:
-        raise ShapeError("compose_views",
-                         f"{count} views need {expected} matrices, "
-                         f"got {len(stack.matrices)}")
     views = [selections[0]]
     for position in range(2, count):  # 1-based interior view numbers
         selection = selections[position - 1]
-        if stack.variant == VARIANT_FULL:
+        if variant == VARIANT_FULL:
             inputs = concat_rows([*views, selection], axis=-1)
-        elif stack.variant == VARIANT_CHAIN:
+        elif variant == VARIANT_CHAIN:
             inputs = concat_rows([views[-1], selection], axis=-1)
         else:
-            raise ValueError(f"unknown variant {stack.variant!r}")
-        views.append(tanh_ew(linear(inputs, stack.matrices[position - 2])))
+            raise ValueError(f"unknown variant {variant!r}")
+        views.append(tanh_ew(linear(inputs, leaves[f"view{position}.combine"])))
     views.append(selections[-1])
     return views
 
 
-def classify(views: list[Tensor], classifier: Classifier,
+def classify(views: list[Tensor], leaves: Mapping[str, Tensor],
              dropout_mask: np.ndarray | None = None) -> Tensor:
-    """Concatenate each document's views and read out (B, classes) logits.
+    """Concatenate each document's views and read out (B, classes) logits
+    through the ``classifier.*`` leaves, the tanh hidden layer first if bound.
 
     ``dropout_mask`` (B, V * d), already inverted-scaled, multiplies the
     concatenated vectors; pass None outside training.
@@ -149,9 +122,10 @@ def classify(views: list[Tensor], classifier: Classifier,
     stacked = views[0] if len(views) == 1 else concat_rows(views, axis=-1)
     if dropout_mask is not None:
         stacked = mul(stacked, stacked.graph.tensor(dropout_mask))
-    if classifier.hidden_weight is not None:
-        stacked = tanh_ew(linear(stacked, classifier.hidden_weight, classifier.hidden_bias))
-    return linear(stacked, classifier.out_weight, classifier.out_bias)
+    if "classifier.hidden_weight" in leaves:
+        stacked = tanh_ew(linear(stacked, leaves["classifier.hidden_weight"],
+                                 leaves["classifier.hidden_bias"]))
+    return linear(stacked, leaves["classifier.out_weight"], leaves["classifier.out_bias"])
 
 
 def view_stack_param_count(views: int, view_dim: int, variant: str) -> int:
@@ -244,19 +218,6 @@ def init_parameters(config: TrainConfig, vocab_size: int, num_classes: int,
     return params
 
 
-@dataclass
-class BoundMvn:
-    """Graph leaves for every parameter, grouped into typed pieces."""
-
-    leaves: "OrderedDict[str, Tensor]"
-    embedding: Tensor
-    projection: Projection
-    conv: ConvFilterBank | None
-    heads: list[SelectionHead]
-    stack: ViewStack
-    classifier: Classifier
-
-
 class MvnModel:
     """Configuration, vocabulary, label count, and parameter arrays in one place."""
 
@@ -282,54 +243,28 @@ class MvnModel:
     def copy_params(self) -> "OrderedDict[str, np.ndarray]":
         return OrderedDict((k, v.copy()) for k, v in self.params.items())
 
-    def bind(self, graph: Graph, leaves=None, requires_grad: bool = True) -> BoundMvn:
-        """One leaf per parameter array on the given graph, not screened again:
-        the arrays are screened when the model is built and at each update.
-        Without ``requires_grad`` a forward pass keeps nothing on the tape.
+    def bind(self, graph: Graph, leaves=None,
+             requires_grad: bool = True) -> "OrderedDict[str, Tensor]":
+        """One leaf per parameter array on the given graph, keyed by name in
+        :func:`parameter_layout` order and not screened again: the arrays are
+        screened when the model is built and at each update. Without
+        ``requires_grad`` a forward pass keeps nothing on the tape.
 
-        A premade name -> leaf mapping (covering every parameter) can be
-        passed instead, which gradient checkers use to own the leaves.
+        A premade name -> leaf map, which gradient checkers pass to own the
+        leaves, is checked against the parameter names and returned as it is.
         """
-        cfg = self.config
         if leaves is None:
-            leaves = OrderedDict(
+            return OrderedDict(
                 (name, graph.parameter(array, requires_grad=requires_grad, name=name))
                 for name, array in self.params.items())
-        elif set(leaves) != set(self.params):
+        if set(leaves) != set(self.params):
             raise ValueError("bind: leaf names do not match parameter names")
-        heads = [SelectionHead(score_vector=leaves[f"head{i}.score_vector"],
-                               row_transform=leaves[f"head{i}.row_transform"])
-                 for i in range(1, cfg.views + 1)]
-        if cfg.variant == VARIANT_NO_LINKS:
-            matrices = []
-        else:
-            matrices = [leaves[f"view{i}.combine"] for i in range(2, cfg.views)]
-        conv = None
-        if cfg.conv_features:
-            conv = ConvFilterBank({order: (leaves[f"ngram{order}.filter"],
-                                           leaves[f"ngram{order}.bias"])
-                                   for order in NGRAM_ORDERS})
-        classifier = Classifier(
-            out_weight=leaves["classifier.out_weight"],
-            out_bias=leaves["classifier.out_bias"],
-            hidden_weight=leaves.get("classifier.hidden_weight"),
-            hidden_bias=leaves.get("classifier.hidden_bias"),
-        )
-        return BoundMvn(
-            leaves=leaves,
-            embedding=leaves["embedding"],
-            projection=Projection(weight=leaves["projection.weight"],
-                                  bias=leaves["projection.bias"]),
-            conv=conv,
-            heads=heads,
-            stack=ViewStack(variant=cfg.variant, matrices=matrices),
-            classifier=classifier,
-        )
+        return leaves
 
     def _run(self, graph: Graph, docs, mode: str, dropout_mask, bound):
         """Logits (B, classes) of a padded batch, with its per-view
         selections (B, d), views (B, d) and attention weights (B, R) over
-        the R feature rows."""
+        the R feature rows. ``bound`` is a :meth:`bind` leaf map."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         if not docs:
@@ -354,14 +289,15 @@ class MvnModel:
         if padded:
             lengths = np.array(lengths)
             valid = np.arange(width) < lengths[:, None]
-        token_rows = project(gather_rows(bound.embedding, distinct), bound.projection)
+        token_rows = project(gather_rows(bound["embedding"], distinct),
+                             bound["projection.weight"], bound["projection.bias"])
         feature_rows = gather_rows(token_rows, ids)
         # A row's attention score depends on the row alone, so each head
         # scores the distinct rows once and the scores are gathered per
         # position through ``row_index``.
         head_rows, row_index = token_rows, ids
-        if bound.conv is not None:
-            pooled = ngram_features(feature_rows, bound.conv, lengths if padded else None)
+        if self.config.conv_features:
+            pooled = ngram_features(feature_rows, bound, lengths if padded else None)
             feature_rows = augment_features(feature_rows, pooled)
             # Document b's pooled row of the k-th order is table row
             # U + k * B + b, with U = len(slots) token rows before them.
@@ -374,18 +310,19 @@ class MvnModel:
         columns = transpose(feature_rows)
         selections = []
         weights = []
-        for head in bound.heads:
-            scores = gather_rows(attention_scores(head, head_rows), row_index)
+        for i in range(1, self.config.views + 1):
+            head = (bound[f"head{i}.row_transform"], bound[f"head{i}.score_vector"])
+            scores = gather_rows(attention_scores(head_rows, *head), row_index)
             w = attention_weights(scores, valid)
             weights.append(w)
             selections.append(select(w, columns))
-        views = compose_views(selections, bound.stack)
+        views = compose_views(selections, bound, self.config.variant)
         mask = dropout_mask if mode == "train" else None
-        return classify(views, bound.classifier, mask), selections, views, weights
+        return classify(views, bound, mask), selections, views, weights
 
     def forward_batch(self, graph: Graph, docs, mode: str = "eval",
                       dropout_mask: np.ndarray | None = None,
-                      bound: BoundMvn | None = None) -> tuple[Tensor, list[Tensor]]:
+                      bound: Mapping[str, Tensor] | None = None) -> tuple[Tensor, list[Tensor]]:
         """Full pipeline for a batch of documents in one graph: embed,
         project, optionally add pooled n-gram rows, attend per view, compose
         views, classify.
@@ -399,7 +336,7 @@ class MvnModel:
 
     def forward(self, graph: Graph, doc: LabeledDocument, mode: str = "eval",
                 dropout_mask: np.ndarray | None = None,
-                bound: BoundMvn | None = None) -> tuple[Tensor, ViewBundle]:
+                bound: Mapping[str, Tensor] | None = None) -> tuple[Tensor, ViewBundle]:
         """:meth:`forward_batch` for one document, with its (V * d,) dropout
         mask; returns the logit vector and the per-view selections, views and
         attention weights as vectors, the weights over the document's own
@@ -424,11 +361,10 @@ class MvnModel:
             attention=attention)
 
     def predict(self, doc: LabeledDocument) -> int:
-        graph = Graph()
-        logits, _ = self.forward_batch(graph, [doc],
-                                       bound=self.bind(graph, requires_grad=False))
-        graph.release()
-        return int(np.argmax(logits.value[0]))
+        """Predicted label of one document, scored by :meth:`eval_batches`."""
+        with closing(self.eval_batches([doc])) as batches:
+            _, _, logits, _ = next(batches)
+            return int(np.argmax(logits.value[0]))
 
     def eval_batches(self, docs):
         """Eval-mode :meth:`forward_batch` over ``docs`` in batches of

@@ -15,7 +15,6 @@ without ever recording an infinite value.
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -63,23 +62,21 @@ def _as_value(value) -> np.ndarray:
 
 
 def require_finite(op: str, value: np.ndarray, what: str = "result") -> None:
-    # np.sum is non-finite whenever any entry is NaN/Inf; cheap screen first,
-    # exact scan only on suspicion (the sum may overflow on its own).
-    if not math.isfinite(value.sum()):
-        if not bool(np.isfinite(value).all()):
-            raise NumericError(f"{op}: {what} contains non-finite values")
+    # isfinite does no arithmetic: unlike a screening sum, it cannot
+    # overflow or meet inf - inf, so it never warns before the raise.
+    if not np.isfinite(value).all():
+        raise NumericError(f"{op}: {what} contains non-finite values")
 
 
 class Tensor:
     """One graph node: a float64 array plus a gradient accumulator."""
 
-    __slots__ = ("graph", "index", "value", "grad", "requires_grad", "op", "name",
+    __slots__ = ("graph", "value", "grad", "requires_grad", "op", "name",
                  "_inputs", "_push")
 
-    def __init__(self, graph: "Graph", index: int, value: np.ndarray,
+    def __init__(self, graph: "Graph", value: np.ndarray,
                  requires_grad: bool, op: str, name: str | None = None):
         self.graph = graph
-        self.index = index
         self.value = value
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -124,7 +121,7 @@ class Graph:
     def parameter(self, value, requires_grad: bool = False, name: str | None = None) -> Tensor:
         """:meth:`tensor` without the non-finite screen, for an array screened
         where it was made or last changed, such as a model parameter."""
-        node = Tensor(self, len(self.nodes), _as_value(value), requires_grad, "leaf", name)
+        node = Tensor(self, _as_value(value), requires_grad, "leaf", name)
         self.nodes.append(node)
         return node
 
@@ -136,7 +133,7 @@ class Graph:
         if not copied:
             require_finite(op, arr)
         requires = any(t.requires_grad for t in inputs)
-        node = Tensor(self, len(self.nodes), arr, requires, op)
+        node = Tensor(self, arr, requires, op)
         if requires:
             node._inputs = inputs
             node._push = push

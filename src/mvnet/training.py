@@ -143,7 +143,7 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
                                             dropout_mask=mask, bound=bound)
             batch_loss = cross_entropy(logits, labels)
             graph.backward(batch_loss)
-            grads = {name: leaf.grad for name, leaf in bound.leaves.items()}
+            grads = {name: leaf.grad for name, leaf in bound.items()}
             adadelta_step(model.params, grads, state,
                           config.lr_scale, config.rho, config.epsilon)
         except NumericError as exc:

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvnet.features import (
-    ConvFilterBank,
     EmbeddingFileError,
     NGRAM_ORDERS,
     PAD_TOKEN,
-    Projection,
     UNK_TOKEN,
     Vocabulary,
     augment_features,
@@ -143,12 +141,13 @@ class TestEmbeddingTable:
 
 
 def make_bank(graph, width, rng):
-    filters = {}
+    """The n-gram filter and bias leaves, keyed as a model binds them."""
+    leaves = {}
     for order in NGRAM_ORDERS:
-        weight = graph.tensor(rng.normal(size=(width, order * width)) * 0.4)
-        bias = graph.tensor(rng.normal(size=width) * 0.1)
-        filters[order] = (weight, bias)
-    return filters
+        leaves[f"ngram{order}.filter"] = graph.tensor(
+            rng.normal(size=(width, order * width)) * 0.4)
+        leaves[f"ngram{order}.bias"] = graph.tensor(rng.normal(size=width) * 0.1)
+    return leaves
 
 
 class TestProjection:
@@ -157,8 +156,7 @@ class TestProjection:
         weight = rng.normal(size=(3, 2))
         bias = rng.normal(size=2)
         g = Graph()
-        proj = Projection(weight=g.tensor(weight), bias=g.tensor(bias))
-        out = project(g.tensor(rows), proj)
+        out = project(g.tensor(rows), g.tensor(weight), g.tensor(bias))
         np.testing.assert_allclose(out.value, np.tanh(rows @ weight + bias), rtol=1e-14)
 
     def test_gradients_match_closed_form(self, rng):
@@ -168,7 +166,7 @@ class TestProjection:
         upstream = rng.normal(size=(2, 4, 2))
         g = Graph()
         leaves = [g.tensor(v, requires_grad=True) for v in (rows, weight, bias)]
-        out = project(leaves[0], Projection(weight=leaves[1], bias=leaves[2]))
+        out = project(*leaves)
         g.backward(sum_all(mul(out, g.tensor(upstream))))
         y = np.tanh(rows @ weight + bias)
         np.testing.assert_allclose(out.value, y, rtol=1e-12)
@@ -193,13 +191,12 @@ class TestNgramFeatures:
         batch = np.stack([np.vstack([t] + [pad] * (rows - len(t))) for t in texts])
         g = Graph()
         filters = make_bank(g, width, rng)
-        pooled = ngram_features(g.tensor(batch), ConvFilterBank(filters),
-                                np.array(lengths))
+        pooled = ngram_features(g.tensor(batch), filters, np.array(lengths))
         assert len(pooled) == len(NGRAM_ORDERS)
         for vector, order in zip(pooled, NGRAM_ORDERS):
             assert vector.shape == (len(lengths), width)
-            weight = filters[order][0].value
-            bias = filters[order][1].value
+            weight = filters[f"ngram{order}.filter"].value
+            bias = filters[f"ngram{order}.bias"].value
             for text, row in zip(texts, vector.value):
                 # Texts shorter than the order are padded to a single window.
                 padded = np.vstack([text] + [pad] * max(0, order - len(text)))
@@ -217,10 +214,10 @@ class TestNgramFeatures:
         g = Graph()
         filters = make_bank(g, width, rng)
         padded_rows = np.vstack([rows] + [pad] * (max(NGRAM_ORDERS) - 2))
-        pooled = ngram_features(g.tensor(padded_rows), ConvFilterBank(filters), 2)
+        pooled = ngram_features(g.tensor(padded_rows), filters, 2)
         for vector, order in zip(pooled, NGRAM_ORDERS):
-            weight = filters[order][0].value
-            bias = filters[order][1].value
+            weight = filters[f"ngram{order}.filter"].value
+            bias = filters[f"ngram{order}.bias"].value
             if order <= 2:
                 window_rows = [rows[p:p + order].reshape(-1) for p in range(2 - order + 1)]
                 expected = np.array([np.tanh(weight @ w + bias)
@@ -234,7 +231,7 @@ class TestNgramFeatures:
         g = Graph()
         filters = make_bank(g, 2, rng)
         with pytest.raises(ShapeError, match="pad"):
-            ngram_features(g.tensor(rng.normal(size=(2, 2))), ConvFilterBank(filters))
+            ngram_features(g.tensor(rng.normal(size=(2, 2))), filters)
 
     def test_augmented_matrix_adds_one_row_per_order(self, rng):
         width = 3
@@ -242,16 +239,9 @@ class TestNgramFeatures:
         g = Graph()
         filters = make_bank(g, width, rng)
         projected = g.tensor(rows)
-        pooled = ngram_features(projected, ConvFilterBank(filters))
+        pooled = ngram_features(projected, filters)
         augmented = augment_features(projected, pooled)
         assert augmented.shape == (5 + len(NGRAM_ORDERS), width)
         np.testing.assert_array_equal(augmented.value[:5], rows)
         for i, vector in enumerate(pooled):
             np.testing.assert_array_equal(augmented.value[5 + i], vector.value)
-
-    def test_filter_bank_must_cover_all_orders(self, rng):
-        g = Graph()
-        filters = make_bank(g, 2, rng)
-        del filters[3]
-        with pytest.raises(ValueError, match="orders"):
-            ConvFilterBank(filters)

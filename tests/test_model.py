@@ -32,6 +32,7 @@ from mvnet.model import (
     classify,
     compose_views,
     init_parameters,
+    parameter_layout,
     select,
     view_stack_param_count,
 )
@@ -163,6 +164,27 @@ class TestInitialization:
         config = TrainConfig(views=2, view_dim=4, embed_dim=3)
         with pytest.raises(ValueError):
             init_parameters(config, 4, 2, np.random.default_rng(0), np.zeros((4, 5)))
+
+
+class TestBind:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("two_layer", [False, True])
+    def test_one_leaf_per_parameter_in_layout_order(self, variant, two_layer):
+        model = make_model(variant=variant, two_layer_classifier=two_layer)
+        graph = Graph()
+        leaves = model.bind(graph)
+        layout = [name for name, _, _ in parameter_layout(
+            model.config, len(model.vocab), model.num_classes)]
+        assert list(leaves) == layout
+        assert graph.nodes == list(leaves.values())
+        for name, leaf in leaves.items():
+            assert leaf.name == name and leaf.requires_grad
+            assert np.shares_memory(leaf.value, model.params[name])
+        # A premade map is checked by name and returned as it is.
+        assert model.bind(graph, leaves) is leaves
+        del leaves["classifier.out_bias"]
+        with pytest.raises(ValueError, match="leaf names"):
+            model.bind(graph, leaves)
 
 
 class TestForwardStructure:
@@ -335,9 +357,9 @@ class TestBatchedForward:
             np.testing.assert_allclose(logits.value[row], single.value,
                                        rtol=1e-12, atol=1e-15)
             single_graph.backward(cross_entropy(single, doc.label))
-            for name, leaf in single_bound.leaves.items():
+            for name, leaf in single_bound.items():
                 expected[name] += leaf.grad / len(docs)
-        for name, leaf in bound.leaves.items():
+        for name, leaf in bound.items():
             np.testing.assert_allclose(leaf.grad, expected[name], rtol=1e-12,
                                        atol=1e-15, err_msg=name)
 
@@ -355,13 +377,13 @@ class TestBatchedForward:
         projected = []
         scored = []
 
-        def recording_project(rows, proj):
+        def recording_project(rows, *params):
             projected.append(rows.shape[0])
-            return project(rows, proj)
+            return project(rows, *params)
 
-        def recording_scores(head, rows):
+        def recording_scores(rows, *params):
             scored.append(rows.shape[0])
-            return attention_scores(head, rows)
+            return attention_scores(rows, *params)
 
         monkeypatch.setattr(model_module, "project", recording_project)
         monkeypatch.setattr(model_module, "attention_scores", recording_scores)
@@ -387,24 +409,27 @@ class TestBatchedForward:
             ids = np.full((len(docs), width), model.vocab.pad_index)
             for row, tokens in zip(ids, token_lists):
                 row[:len(tokens)] = [model.vocab.lookup(t) for t in tokens]
-            rows = project(gather_rows(ref.embedding, ids), ref.projection)
+            rows = project(gather_rows(ref["embedding"], ids),
+                           ref["projection.weight"], ref["projection.bias"])
             valid = np.arange(width) < lengths[:, None]
             if conv:
-                pooled_rows = ngram_features(rows, ref.conv, lengths)
+                pooled_rows = ngram_features(rows, ref, lengths)
                 rows = augment_features(rows, pooled_rows)
                 valid = np.pad(valid, ((0, 0), (0, len(pooled_rows))),
                                constant_values=True)
             columns = transpose(rows)
-            selections = [select(attention_weights(attention_scores(head, rows), valid),
-                                 columns)
-                          for head in ref.heads]
-            ref_logits = classify(compose_views(selections, ref.stack), ref.classifier)
+            selections = []
+            for i in range(1, model.config.views + 1):
+                scores = attention_scores(rows, ref[f"head{i}.row_transform"],
+                                          ref[f"head{i}.score_vector"])
+                selections.append(select(attention_weights(scores, valid), columns))
+            ref_logits = classify(compose_views(selections, ref, variant), ref)
             ref_graph.backward(cross_entropy(ref_logits, labels))
 
             np.testing.assert_allclose(logits.value, ref_logits.value, rtol=1e-12, atol=0,
                                        err_msg=variant)
-            for name, leaf in bound.leaves.items():
-                np.testing.assert_allclose(leaf.grad, ref.leaves[name].grad, rtol=1e-12,
+            for name, leaf in bound.items():
+                np.testing.assert_allclose(leaf.grad, ref[name].grad, rtol=1e-12,
                                            atol=1e-18, err_msg=f"{variant} {name}")
 
     @pytest.mark.parametrize("conv", [False, True])
@@ -417,7 +442,7 @@ class TestBatchedForward:
         bound = model.bind(graph)
         logits, _ = model.forward_batch(graph, docs, mode="train", bound=bound)
         graph.backward(cross_entropy(logits, [doc.label for doc in docs]))
-        for name, leaf in bound.leaves.items():
+        for name, leaf in bound.items():
             assert leaf.grad.flags.c_contiguous, name
 
     def test_views_do_not_depend_on_the_batch(self):

@@ -5,6 +5,7 @@ or closed-form math), never by calling the code under test twice.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mvnet.numeric import (
     max_rows,
     mean_scalars,
     mul,
+    require_finite,
     reshape,
     softmax_vec,
     sum_all,
@@ -332,6 +334,15 @@ class TestErrors:
         big = _leaf(g, np.array([1e308]))
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite"):
             mul(big, big)
+
+    def test_finite_screen_does_not_warn(self):
+        # +inf and -inf sum to NaN and two huge values overflow the sum: the
+        # screen raises on the first and passes the second, warning on neither.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^op: 'x' contains non-finite values$"):
+                require_finite("op", np.array([np.inf, 1.0, -np.inf]), "'x'")
+            require_finite("op", np.array([1e308, 1e308]))
 
     def test_nan_input_rejected_at_leaf(self):
         with pytest.raises(NumericError, match="non-finite"):
