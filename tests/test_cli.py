@@ -1,5 +1,6 @@
 """End-to-end command line coverage on a small synthetic task."""
 
+import hashlib
 import json
 import re
 import warnings
@@ -194,6 +195,38 @@ class TestAnalyzeViews:
         csv_lines = (out / "view_f1.csv").read_text().splitlines()
         assert csv_lines[0] == "view,class0,class1,class2,class3"
         assert len(csv_lines) == 3
+        for view, line in enumerate(csv_lines[1:], start=1):
+            cells = line.split(",")
+            assert cells[0] == str(view)
+            assert [float(cell) for cell in cells[1:]] == report["f1"][view - 1]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command,roles", [
+        ("eval", {"checkpoint", "test"}),
+        ("ablate", {"train", "dev", "test", "embeddings"}),
+        ("sweep-views", {"train", "dev", "test", "embeddings"}),
+        ("analyze-views", {"checkpoint", "train", "test"})])
+    def test_records_every_input_file(self, workspace, trained, command, roles):
+        vectors = workspace / "manifest-vectors.txt"
+        vectors.write_text("alpha " + " ".join(["0.1"] * 8) + "\n")
+        paths = {"checkpoint": trained / "model.ckpt", "train": workspace / "train.tsv",
+                 "dev": workspace / "dev.tsv", "test": workspace / "test.tsv",
+                 "embeddings": vectors}
+        out = workspace / f"manifest-{command}"
+        args = [command, "--out", str(out)]
+        for role in sorted(roles):
+            args += [f"--{role}", str(paths[role])]
+        if "embeddings" in roles:
+            args += ["--config", str(workspace / "tiny.cfg")]
+        args += {"ablate": ["--runs", "1"], "sweep-views": ["--views", "1"]}.get(command, [])
+        assert main(args) == 0
+        datasets = json.loads((out / "manifest.json").read_text())["datasets"]
+        assert set(datasets) == roles
+        for role in roles:
+            assert datasets[role] == {
+                "path": str(paths[role]),
+                "sha256": hashlib.sha256(paths[role].read_bytes()).hexdigest()}
 
 
 class TestErrorHandling:
@@ -294,6 +327,35 @@ class TestErrorHandling:
         assert err.startswith("error: ") and "non-finite" in err
         assert re.match(r"error: epoch 1, batch \d+: \w+: ", err), err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,flag,path", [
+        ("train", "--train", "."), ("train", "--config", "."), ("train", "--embeddings", "."),
+        ("eval", "--checkpoint", "."), ("train", "--out", "train.tsv"),
+        ("eval", "--out", "train.tsv/sub")])
+    def test_unusable_path_reports_one_line(self, workspace, trained, capsys,
+                                            command, flag, path):
+        # A directory where a file is read; an --out that is, or lies under, a file.
+        out = str(workspace / f"path-{command}")
+        args = {"train": train_args(workspace, out),
+                "eval": ["eval", "--checkpoint", str(trained / "model.ckpt"),
+                         "--test", str(workspace / "test.tsv"), "--out", out]}[command]
+        code = main(args + [flag, str(workspace / path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_rejected_before_training(self, workspace, capsys, runs):
+        out = workspace / f"runs{runs}"
+        code = main(["ablate", "--config", str(workspace / "tiny.cfg"), "--runs", runs,
+                     "--train", str(workspace / "train.tsv"),
+                     "--dev", str(workspace / "dev.tsv"),
+                     "--test", str(workspace / "test.tsv"), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --runs must be at least 1, got {runs}\n"
+        assert captured.out == ""
+        assert not (out / "ablation.json").exists()
 
     def test_unknown_variant_rejected_by_parser(self, workspace):
         with pytest.raises(SystemExit):

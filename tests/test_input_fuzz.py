@@ -11,10 +11,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mvnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from mvnet.cli import main
-from mvnet.config import ConfigError, TrainConfig, parse_config_text
-from mvnet.data import DatasetError, load_dataset
+from mvnet.config import VARIANTS, ConfigError, TrainConfig, parse_config_text
+from mvnet.data import DatasetError, load_dataset, save_dataset
 from mvnet.features import EmbeddingFileError, Vocabulary, build_vocab, load_embeddings
 from mvnet.model import MvnModel
+from mvnet.synthetic import keyword_corpus
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -178,3 +179,58 @@ def test_corrupt_checkpoint_prints_one_line_and_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {checkpoint}: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def flag_workspace(tmp_path_factory):
+    """A tiny corpus and a one-epoch config, so each command line runs fast."""
+    root = tmp_path_factory.mktemp("flags")
+    for name, docs in zip(("train", "dev", "test"),
+                          keyword_corpus(train_size=24, dev_size=8, test_size=8, seed=3)):
+        save_dataset(root / f"{name}.tsv", docs)
+    (root / "run.cfg").write_text(TINY_CONFIG + "batch_size = 8\n")
+    return root
+
+
+def flag_values(*values):
+    return st.sampled_from([str(v) for v in values] + ["", "x", "1.5"])
+
+
+# --views stays small: a huge view count asks numpy for a huge allocation.
+VIEWS = flag_values(*range(-2, 7))
+MODEL_FLAGS = {
+    "--views": VIEWS,
+    "--seed": flag_values(-3, -1, 0, 1, 7, 2**32, 2**64),
+    "--variant": flag_values(*VARIANTS, "ring"),
+    "--conv-features": flag_values("on", "off"),
+}
+COMMAND_FLAGS = {
+    "train": MODEL_FLAGS,
+    "ablate": {**MODEL_FLAGS, "--runs": flag_values(*range(-2, 4))},
+    "sweep-views": {"--seed": MODEL_FLAGS["--seed"],
+                    "--views": st.lists(VIEWS, min_size=1, max_size=3).map(",".join)},
+}
+
+
+@settings(FUZZ, max_examples=100)
+@given(command=st.sampled_from(sorted(COMMAND_FLAGS)), data=st.data())
+def test_flags_run_or_fail_with_one_line(tmp_path, capsys, flag_workspace, command, data):
+    args = [command, "--config", str(flag_workspace / "run.cfg"),
+            "--train", str(flag_workspace / "train.tsv"),
+            "--dev", str(flag_workspace / "dev.tsv"), "--out", str(tmp_path / "run")]
+    if command != "train":
+        args += ["--test", str(flag_workspace / "test.tsv")]
+    flags = COMMAND_FLAGS[command]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), unique=True), label="flags"):
+        args += [flag, data.draw(flags[flag], label=flag)]
+    if command == "sweep-views" and "--views" not in args:
+        args += ["--views", "1"]
+    capsys.readouterr()
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        assert exc.code == 2  # argparse's usage error
+        return
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (
+        code == 2 and err.startswith("error: ") and err.count("\n") == 1), err
