@@ -112,9 +112,9 @@ class SweepRow:
 
 def view_sweep(base_config: TrainConfig, view_counts, train_set, dev_set,
                test_set, embeddings_path=None, progress=None) -> list[SweepRow]:
-    """Train one model per view count (everything else fixed) and report
-    dev/test accuracy, rows sorted by view count."""
-    counts = sorted(int(v) for v in view_counts)
+    """Train one model per distinct view count (everything else fixed) and
+    report dev/test accuracy, rows sorted by view count."""
+    counts = sorted(set(int(v) for v in view_counts))
     if not counts:
         raise ValueError("view_sweep: no view counts")
     if counts[0] < 1:

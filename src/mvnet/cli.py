@@ -134,7 +134,7 @@ def cmd_train(args, out: Path) -> tuple[TrainConfig, dict]:
     model = build_model(config, train_docs, args.embeddings)
     result = fit(model, train_docs, dev_docs, config, progress=_epoch_printer)
     save_checkpoint(out / "model.ckpt", model)
-    _write_lines(out / "curve.jsonl", [json.dumps(record.to_json_dict(), sort_keys=True)
+    _write_lines(out / "curve.jsonl", [json.dumps(dataclasses.asdict(record), sort_keys=True)
                                        for record in result.curve])
     print(f"best epoch {result.best_epoch}: dev_acc={result.best_dev_accuracy:.4f} "
           f"dev_loss={result.best_dev_loss:.4f}")

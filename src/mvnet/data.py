@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .features import tokenize
-from .files import read_lines
+from .files import atomic_open, read_lines
 
 
 class DatasetError(RuntimeError):
@@ -67,7 +67,9 @@ def load_dataset(path, max_malformed_fraction: float = 0.01,
 
 
 def save_dataset(path, docs) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write one ``label<TAB>text`` line per document, replacing ``path``
+    whole or not at all."""
+    with atomic_open(path) as handle:
         for doc in docs:
             handle.write(f"{doc.label}\t{doc.raw}\n")
 

@@ -15,7 +15,6 @@ the result it would get alone.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -28,7 +27,9 @@ from .config import (
     VARIANT_NO_LINKS,
 )
 from .data import LabeledDocument
-from .features import (
+# augment_features has no caller here any more; it stays importable from
+# this module because the traced benchmark run (perfbench/layers.py) wraps it.
+from .features import (  # noqa: F401
     NGRAM_ORDERS,
     Vocabulary,
     augment_features,
@@ -37,7 +38,6 @@ from .features import (
 )
 from .numeric import (
     Graph,
-    ShapeError,
     Tensor,
     concat_rows,
     gather_rows,
@@ -54,7 +54,9 @@ from .numeric import (
 
 @dataclass
 class ViewBundle:
-    """Intermediates of a one-document forward pass, kept for analysis."""
+    """Per-view intermediates of a forward pass: selections, views and
+    attention weights, as (B, ...) blocks of a batch or vectors of one
+    document."""
 
     selections: list[Tensor]
     views: list[Tensor]
@@ -78,10 +80,6 @@ def select(weights: Tensor, columns: Tensor) -> Tensor:
     """Attention-weighted sum of each document's feature rows, given as the
     columns of ``transpose(feature_rows)`` so that all heads share one
     transpose: (B, R) weights and (B, d, R) columns give (B, d)."""
-    if weights.ndim != 2 or columns.ndim != 3 \
-            or weights.shape != (columns.shape[0], columns.shape[2]):
-        raise ShapeError("select", f"weights {weights.shape} do not match "
-                                   f"columns {columns.shape}")
     return matvec(columns, weights)
 
 
@@ -261,12 +259,19 @@ class MvnModel:
             raise ValueError("bind: leaf names do not match parameter names")
         return leaves
 
-    def _run(self, graph: Graph, docs, mode: str, dropout_mask, bound):
-        """Logits (B, classes) of a padded batch, with its per-view
-        selections (B, d), views (B, d) and attention weights (B, R) over
-        the R feature rows. ``bound`` is a :meth:`bind` leaf map."""
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    def forward_batch(self, graph: Graph, docs,
+                      dropout_mask: np.ndarray | None = None,
+                      bound: Mapping[str, Tensor] | None = None,
+                      ) -> tuple[Tensor, ViewBundle]:
+        """Full pipeline for a padded batch of documents in one graph: embed,
+        project, optionally add pooled n-gram rows, attend per view, compose
+        views, classify.
+
+        Returns the (B, classes) logits and the per-view selections (B, d),
+        views (B, d) and attention weights (B, R) over the R feature rows.
+        A given (B, V * d) dropout mask is applied, so the caller owns all
+        randomness. ``bound`` is a :meth:`bind` leaf map.
+        """
         if not docs:
             raise ValueError("forward: no documents")
         lengths = [len(doc.tokens) for doc in docs]
@@ -291,96 +296,80 @@ class MvnModel:
             valid = np.arange(width) < lengths[:, None]
         token_rows = project(gather_rows(bound["embedding"], distinct),
                              bound["projection.weight"], bound["projection.bias"])
-        feature_rows = gather_rows(token_rows, ids)
-        # A row's attention score depends on the row alone, so each head
-        # scores the distinct rows once and the scores are gathered per
-        # position through ``row_index``.
-        head_rows, row_index = token_rows, ids
+        # One table of distinct feature rows, addressed per document and
+        # position by ``row_index``. A row's attention score depends on the
+        # row alone, so each head scores the table once and gathers its
+        # scores; the rows the heads mix are gathered the same way.
+        table, row_index = token_rows, ids
         if self.config.conv_features:
-            pooled = ngram_features(feature_rows, bound, lengths if padded else None)
-            feature_rows = augment_features(feature_rows, pooled)
+            pooled = ngram_features(gather_rows(token_rows, ids), bound,
+                                    lengths if padded else None)
             # Document b's pooled row of the k-th order is table row
             # U + k * B + b, with U = len(slots) token rows before them.
             batch = len(docs)
-            head_rows = concat_rows([token_rows, *pooled])
+            table = concat_rows([token_rows, *pooled])
             row_index = np.hstack([ids, len(slots) + np.arange(batch)[:, None]
                                    + batch * np.arange(len(pooled))])
             if padded:
                 valid = np.pad(valid, ((0, 0), (0, len(pooled))), constant_values=True)
-        columns = transpose(feature_rows)
+        columns = transpose(gather_rows(table, row_index))
         selections = []
         weights = []
         for i in range(1, self.config.views + 1):
             head = (bound[f"head{i}.row_transform"], bound[f"head{i}.score_vector"])
-            scores = gather_rows(attention_scores(head_rows, *head), row_index)
+            scores = gather_rows(attention_scores(table, *head), row_index)
             w = attention_weights(scores, valid)
             weights.append(w)
             selections.append(select(w, columns))
         views = compose_views(selections, bound, self.config.variant)
-        mask = dropout_mask if mode == "train" else None
-        return classify(views, bound, mask), selections, views, weights
-
-    def forward_batch(self, graph: Graph, docs, mode: str = "eval",
-                      dropout_mask: np.ndarray | None = None,
-                      bound: Mapping[str, Tensor] | None = None) -> tuple[Tensor, list[Tensor]]:
-        """Full pipeline for a batch of documents in one graph: embed,
-        project, optionally add pooled n-gram rows, attend per view, compose
-        views, classify.
-
-        Returns the (B, classes) logits and the V view blocks (B, d). Dropout
-        applies only in train mode and only through the given (B, V * d)
-        mask, so the caller owns all randomness.
-        """
-        logits, _, views, _ = self._run(graph, docs, mode, dropout_mask, bound)
-        return logits, views
+        return classify(views, bound, dropout_mask), ViewBundle(
+            selections=selections, views=views, attention=weights)
 
     def forward(self, graph: Graph, doc: LabeledDocument, mode: str = "eval",
                 dropout_mask: np.ndarray | None = None,
                 bound: Mapping[str, Tensor] | None = None) -> tuple[Tensor, ViewBundle]:
         """:meth:`forward_batch` for one document, with its (V * d,) dropout
-        mask; returns the logit vector and the per-view selections, views and
-        attention weights as vectors, the weights over the document's own
-        feature rows only."""
-        if dropout_mask is not None:
-            dropout_mask = np.reshape(dropout_mask, (1, -1))
-        logits, selections, views, weights = self._run(graph, [doc], mode,
-                                                       dropout_mask, bound)
+        mask, which applies only in train mode; returns the logit vector and
+        the per-view selections, views and attention weights as vectors, the
+        weights over the document's own feature rows only."""
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        mask = None
+        if mode == "train" and dropout_mask is not None:
+            mask = np.reshape(dropout_mask, (1, -1))
+        logits, bundle = self.forward_batch(graph, [doc], mask, bound)
         # Feature rows are the token rows, padding up to the widest window,
         # then the pooled rows; the padding is dropped from the weights.
         length = len(doc.tokens)
         padding = max(NGRAM_ORDERS) - length
         attention = []
-        for w in weights:
+        for w in bundle.attention:
             flat = reshape(w, w.shape[1:])
             if padding > 0:
                 flat = gather_rows(flat, np.r_[:length, length + padding:flat.shape[0]])
             attention.append(flat)
         return reshape(logits, logits.shape[1:]), ViewBundle(
-            selections=[reshape(s, s.shape[1:]) for s in selections],
-            views=[reshape(v, v.shape[1:]) for v in views],
+            selections=[reshape(s, s.shape[1:]) for s in bundle.selections],
+            views=[reshape(v, v.shape[1:]) for v in bundle.views],
             attention=attention)
 
     def predict(self, doc: LabeledDocument) -> int:
         """Predicted label of one document, scored by :meth:`eval_batches`."""
-        with closing(self.eval_batches([doc])) as batches:
-            _, _, logits, _ = next(batches)
-            return int(np.argmax(logits.value[0]))
+        _, _, logits, _ = next(self.eval_batches([doc]))
+        return int(np.argmax(logits.value[0]))
 
     def eval_batches(self, docs):
         """Eval-mode :meth:`forward_batch` over ``docs`` in batches of
         ``config.batch_size``, shortest documents first (a stable sort), so a
         batch pads little. Yields each batch's positions in ``docs``, documents,
-        logits and views; a batch's tape is released once the caller moves on."""
+        logits and views. A graph bound without gradients records no nodes,
+        so a batch's tensors are freed once the caller lets go of them."""
         size = self.config.batch_size
         order = sorted(range(len(docs)), key=lambda i: len(docs[i].tokens))
         for start in range(0, len(order), size):
             positions = order[start:start + size]
             batch = [docs[i] for i in positions]
             graph = Graph()
-            try:
-                logits, views = self.forward_batch(
-                    graph, batch, bound=self.bind(graph, requires_grad=False))
-                yield positions, batch, logits, views
-            finally:
-                graph.release()
-
+            logits, bundle = self.forward_batch(
+                graph, batch, bound=self.bind(graph, requires_grad=False))
+            yield positions, batch, logits, bundle.views

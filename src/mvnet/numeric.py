@@ -1,10 +1,10 @@
 """Dense float64 tensors on a recorded computation graph, with reverse-mode gradients.
 
-Values are numpy arrays. Every leaf, and every operation result that needs
-a gradient, is appended as a node to the owning :class:`Graph`, so the node
+Values are numpy arrays. Every leaf and operation result that needs a
+gradient is appended as a node to the owning :class:`Graph`, so the node
 list is already topologically ordered; backward walks it in reverse creation
 order and accumulates gradients in that fixed order, which keeps repeated
-runs bit-identical. A result that needs no gradient stays off the tape and
+runs bit-identical. A tensor that needs no gradient stays off the tape and
 is freed as soon as nothing uses it.
 
 The structural ops accept leading batch axes, so one graph can carry a whole
@@ -122,7 +122,8 @@ class Graph:
         """:meth:`tensor` without the non-finite screen, for an array screened
         where it was made or last changed, such as a model parameter."""
         node = Tensor(self, _as_value(value), requires_grad, "leaf", name)
-        self.nodes.append(node)
+        if requires_grad:
+            self.nodes.append(node)
         return node
 
     def _record(self, op: str, value, inputs: tuple, push, copied: bool = False) -> Tensor:
@@ -142,8 +143,9 @@ class Graph:
 
     def release(self) -> None:
         """Drop the recorded nodes. Every node refers back to its graph, so a
-        whole graph is a reference cycle that only the cyclic collector
-        frees; released, its tensors go as soon as nothing else holds them."""
+        graph with nodes is a reference cycle that only the cyclic collector
+        frees; released, its tensors go as soon as nothing else holds them.
+        A graph that records nothing needs no release."""
         self.nodes.clear()
 
     def backward(self, loss: Tensor) -> None:

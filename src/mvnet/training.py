@@ -139,8 +139,7 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
             mask = sample_dropout_mask(streams.dropout, (len(docs), mask_width),
                                        config.dropout)
         try:
-            logits, _ = model.forward_batch(graph, docs, mode="train",
-                                            dropout_mask=mask, bound=bound)
+            logits, _ = model.forward_batch(graph, docs, mask, bound)
             batch_loss = cross_entropy(logits, labels)
             graph.backward(batch_loss)
             grads = {name: leaf.grad for name, leaf in bound.items()}
@@ -224,10 +223,6 @@ class EpochRecord:
     train_loss: float
     dev_loss: float
     dev_accuracy: float
-
-    def to_json_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss,
-                "dev_loss": self.dev_loss, "dev_accuracy": self.dev_accuracy}
 
 
 @dataclass

@@ -3,10 +3,12 @@
 import dataclasses
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mvnet import analysis
 from mvnet.analysis import (
     GaussianNbModel,
     MissingClassError,
@@ -203,6 +205,22 @@ class TestViewSweep:
         for row in rows:
             assert 0.0 <= row.dev_accuracy <= 1.0
             assert 0.0 <= row.test_accuracy <= 1.0
+
+    def test_each_distinct_count_trains_once(self, tiny_corpus, tiny_config,
+                                             monkeypatch):
+        train, dev, test = tiny_corpus
+        trained = []
+
+        def fake_train_and_score(config, *args):
+            trained.append(config.views)
+            result = SimpleNamespace(best_dev_accuracy=config.views / 10)
+            return None, result, SimpleNamespace(accuracy=config.views / 20)
+
+        monkeypatch.setattr(analysis, "train_and_score", fake_train_and_score)
+        rows = view_sweep(tiny_config, [2, 1, 2], train, dev, test)
+        assert trained == [1, 2]
+        assert [(r.views, r.dev_accuracy, r.test_accuracy) for r in rows] == \
+            [(1, 0.1, 0.05), (2, 0.2, 0.1)]
 
     def test_rejects_empty_or_bad_counts(self, tiny_corpus, tiny_config):
         train, dev, test = tiny_corpus

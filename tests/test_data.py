@@ -59,6 +59,19 @@ class TestLoading:
         assert [(d.label, d.tokens, d.raw) for d in loaded] == \
             [(d.label, d.tokens, d.raw) for d in docs]
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        path.write_text("1\told text\n", encoding="utf-8")
+
+        def docs_then_failure():
+            yield LabeledDocument(label=0, tokens=["new"], raw="new")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            save_dataset(path, docs_then_failure())
+        assert path.read_text(encoding="utf-8") == "1\told text\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv"]
+
     def test_num_classes_is_max_label_plus_one(self):
         docs = [LabeledDocument(label=label, tokens=["a"], raw="a")
                 for label in (0, 3, 1, 1)]

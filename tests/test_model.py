@@ -344,8 +344,7 @@ class TestBatchedForward:
 
         graph = Graph()
         bound = model.bind(graph)
-        logits, _ = model.forward_batch(graph, docs, mode="train",
-                                        dropout_mask=masks, bound=bound)
+        logits, _ = model.forward_batch(graph, docs, dropout_mask=masks, bound=bound)
         graph.backward(cross_entropy(logits, [doc.label for doc in docs]))
 
         expected = {name: np.zeros_like(array) for name, array in model.params.items()}
@@ -394,7 +393,7 @@ class TestBatchedForward:
                                conv_features=conv)
             graph = Graph()
             bound = model.bind(graph)
-            logits, _ = model.forward_batch(graph, docs, mode="train", bound=bound)
+            logits, _ = model.forward_batch(graph, docs, bound=bound)
             graph.backward(cross_entropy(logits, labels))
             # alpha, beta, gamma, <unk> (zzz and qqq) and <pad>; each of the 4
             # heads also scores one pooled row per n-gram order and document.
@@ -440,7 +439,7 @@ class TestBatchedForward:
         docs = [make_doc(n, label=n % 2) for n in (2, 8, 5)]
         graph = Graph()
         bound = model.bind(graph)
-        logits, _ = model.forward_batch(graph, docs, mode="train", bound=bound)
+        logits, _ = model.forward_batch(graph, docs, bound=bound)
         graph.backward(cross_entropy(logits, [doc.label for doc in docs]))
         for name, leaf in bound.items():
             assert leaf.grad.flags.c_contiguous, name
@@ -451,7 +450,7 @@ class TestBatchedForward:
         _, batched = model.forward_batch(Graph(), docs)
         for row, doc in enumerate(docs):
             _, bundle = model.forward(Graph(), doc)
-            for block, view in zip(batched, bundle.views):
+            for block, view in zip(batched.views, bundle.views):
                 np.testing.assert_allclose(block.value[row], view.value,
                                            rtol=1e-12, atol=1e-15)
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -315,6 +316,31 @@ class TestTrainEpoch:
             train_epoch(model, train[:size], sized, RngStreams.from_seed(0),
                         AdadeltaState.for_params(model.params))
         assert len(nodes) == 2 and nodes[0] == nodes[1]
+
+    def test_ngram_batch_tape_holds_one_feature_table(self, tiny_corpus, tiny_config,
+                                                      monkeypatch):
+        # The heads score and mix one table of distinct rows (projected
+        # tokens, then the pooled n-gram rows) through one row index, so no
+        # reshaped copy of the pooled rows is recorded; the dropout mask
+        # needs no gradient and stays off the tape. 22 leaves: one per
+        # parameter.
+        train, _, _ = tiny_corpus
+        ops = []
+        backward = Graph.backward
+
+        def counting(graph, loss):
+            ops.append(Counter(node.op for node in graph.nodes))
+            return backward(graph, loss)
+
+        monkeypatch.setattr(Graph, "backward", counting)
+        config = dataclasses.replace(tiny_config, conv_features=True, dropout=0.2)
+        model = build_model(config, train)
+        train_epoch(model, train[:config.batch_size], config, RngStreams.from_seed(0),
+                    AdadeltaState.for_params(model.params))
+        assert ops == [Counter(
+            leaf=22, gather_rows=6, linear=11, tanh_ew=10, unfold=4, max_rows=4,
+            concat_rows=3, transpose=2, matvec=6, softmax_vec=3, mul=1,
+            cross_entropy=1)]
 
     def test_numeric_error_names_the_batch(self, tiny_corpus, tiny_config):
         train, _, _ = tiny_corpus
