@@ -3,6 +3,7 @@ float64 tensor bytes. Round trips are bit-exact."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .config import ConfigError, config_from_dict, config_to_dict
+from .config import ConfigError, config_from_dict
 from .features import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from .files import atomic_open
 from .model import MvnModel, parameter_layout
@@ -30,7 +31,7 @@ def save_checkpoint(path, model: MvnModel) -> None:
     new one is complete."""
     header = {
         "format_version": FORMAT_VERSION,
-        "config": config_to_dict(model.config),
+        "config": dataclasses.asdict(model.config),
         "num_classes": model.num_classes,
         "vocab": model.vocab.tokens,
         "tensors": [{"name": name, "shape": list(array.shape)}
@@ -126,9 +127,7 @@ def load_checkpoint(path) -> MvnModel:
         for name, shape in layout:
             raw = _read_exact(handle, 8 * math.prod(shape), path, f"tensor {name!r}")
             params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    vocab = Vocabulary(tokens=list(tokens),
-                       index={t: i for i, t in enumerate(tokens)})
     try:
-        return MvnModel(config, vocab, num_classes, params)
+        return MvnModel(config, Vocabulary(list(tokens)), num_classes, params)
     except NumericError as exc:  # a tensor holds NaN or infinite values
         raise CheckpointError(f"{path}: {exc}") from None

@@ -31,7 +31,6 @@ from .config import (
     VARIANT_FULL,
     VARIANT_NO_LINKS,
     VARIANTS,
-    config_to_dict,
     load_config,
     preset,
 )
@@ -104,9 +103,7 @@ def _resolve_config(args) -> TrainConfig:
         overrides["variant"] = args.variant
     if getattr(args, "conv_features", None):
         overrides["conv_features"] = args.conv_features == "on"
-    config = dataclasses.replace(base, **overrides)
-    config.validate()
-    return config
+    return dataclasses.replace(base, **overrides)
 
 
 def _load(args, classes: int | None, *roles) -> list:
@@ -309,7 +306,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             config, outputs = args.func(args, out)
         _write_json(out / "manifest.json", {
-            "command": args.command, "seed": config.seed, "config": config_to_dict(config),
+            "command": args.command, "seed": config.seed, "config": dataclasses.asdict(config),
             "datasets": datasets,
             "outputs": {role: str(out / name) for role, name in outputs.items()},
             "started_at": started_at, "finished_at": _utc_now()})

@@ -24,9 +24,10 @@ class ConfigError(RuntimeError):
     """Bad configuration value, key, or file syntax."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one training run.
+    """Hyperparameters for one training run, checked when built and fixed
+    afterwards: derive a variant with ``dataclasses.replace``.
 
     ``attention_dim`` defaults to ``view_dim`` and ``hidden_dim`` to half the
     concatenated view width when left unset.
@@ -49,6 +50,9 @@ class TrainConfig:
     two_layer_classifier: bool = True
     hidden_dim: int | None = None
     min_count: int = 1
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def resolved_attention_dim(self) -> int:
         return self.attention_dim if self.attention_dim is not None else self.view_dim
@@ -148,9 +152,7 @@ def parse_config_text(text: str, base: TrainConfig | None = None,
             updates[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
-    config = dataclasses.replace(base if base is not None else TrainConfig(), **updates)
-    config.validate()
-    return config
+    return dataclasses.replace(base if base is not None else TrainConfig(), **updates)
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
@@ -158,18 +160,12 @@ def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
     return parse_config_text(text, base=base, source=str(path))
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def config_from_dict(data: dict) -> TrainConfig:
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    config = TrainConfig(**data)
-    config.validate()
-    return config
+    return TrainConfig(**data)
 
 
 # Fixed tags keep each consumer on its own stream, so adding draws to one

@@ -8,6 +8,10 @@ from .features import tokenize
 from .files import atomic_open, read_lines
 
 
+# The share of a dataset file's non-blank lines that may be malformed.
+MAX_MALFORMED_FRACTION = 0.01
+
+
 class DatasetError(RuntimeError):
     """Unusable dataset file (missing, empty, or too many malformed lines)."""
 
@@ -19,13 +23,12 @@ class LabeledDocument:
     raw: str
 
 
-def load_dataset(path, max_malformed_fraction: float = 0.01,
-                 classes: int | None = None) -> tuple[list[LabeledDocument], int]:
+def load_dataset(path, classes: int | None = None) -> tuple[list[LabeledDocument], int]:
     """Parse a dataset file, returning documents and the malformed-line count.
 
     A line is malformed when it lacks a tab, its label is not a non-negative
     integer, or its text tokenizes to nothing. Malformed lines are skipped but
-    counted; the whole load aborts when they exceed ``max_malformed_fraction``
+    counted; the whole load aborts when they exceed ``MAX_MALFORMED_FRACTION``
     of the non-blank lines. Given a model's class count ``classes``, a label
     at or above it aborts the load, naming the line.
     """
@@ -59,10 +62,10 @@ def load_dataset(path, max_malformed_fraction: float = 0.01,
         docs.append(LabeledDocument(label=label, tokens=tokens, raw=body))
     if total == 0:
         raise DatasetError(f"{path}: no documents")
-    if malformed > max_malformed_fraction * total:
+    if malformed > MAX_MALFORMED_FRACTION * total:
         raise DatasetError(
             f"{path}: {malformed} of {total} lines malformed, "
-            f"over the {max_malformed_fraction:.0%} limit")
+            f"over the {MAX_MALFORMED_FRACTION:.0%} limit")
     return docs, malformed
 
 

@@ -4,7 +4,7 @@ shared projection, and n-gram convolution vectors max-pooled over the text."""
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,12 +46,14 @@ class Vocabulary:
     """Dense token -> index map with reserved padding (0) and unknown (1) slots."""
 
     tokens: list[str]
-    index: dict[str, int]
+    index: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.index = {t: i for i, t in enumerate(self.tokens)}
 
     @classmethod
     def from_tokens(cls, ordered: Iterable[str]) -> "Vocabulary":
-        tokens = [PAD_TOKEN, UNK_TOKEN, *ordered]
-        return cls(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
+        return cls([PAD_TOKEN, UNK_TOKEN, *ordered])
 
     @property
     def pad_index(self) -> int:
@@ -93,8 +95,9 @@ def init_embeddings(vocab: Vocabulary, dim: int,
 
 
 def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator,
-                    dim: int | None = None) -> np.ndarray:
-    """Embedding table from a text file of ``token v1 v2 ...`` lines.
+                    dim: int) -> np.ndarray:
+    """Embedding table from a text file of ``token v1 v2 ...`` lines, each
+    with ``dim`` values; a file with no vectors is rejected.
 
     Rows for tokens present in the file are copied verbatim; every other row
     (padding and unknown included) stays at its uniform [-0.05, 0.05] draw.
@@ -102,7 +105,6 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator,
     never shifts the rng stream.
     """
     vectors: dict[str, np.ndarray] = {}
-    width = dim
     for lineno, raw in read_lines(path, EmbeddingFileError):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -117,15 +119,13 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator,
             raise EmbeddingFileError(f"{path}:{lineno}: non-numeric value") from None
         if not np.isfinite(vector).all():
             raise EmbeddingFileError(f"{path}:{lineno}: non-finite value")
-        if width is None:
-            width = vector.size
-        elif vector.size != width:
+        if vector.size != dim:
             raise EmbeddingFileError(
-                f"{path}:{lineno}: expected {width} dimensions, found {vector.size}")
+                f"{path}:{lineno}: expected {dim} dimensions, found {vector.size}")
         vectors[token] = vector
-    if width is None:
+    if not vectors:
         raise EmbeddingFileError(f"{path}: no vectors found")
-    table = rng.uniform(-0.05, 0.05, size=(len(vocab), width))
+    table = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
     for token, vector in vectors.items():
         slot = vocab.index.get(token)
         if slot is not None and slot >= 2:

@@ -100,10 +100,8 @@ def compose_views(selections: list[Tensor], leaves: Mapping[str, Tensor],
         selection = selections[position - 1]
         if variant == VARIANT_FULL:
             inputs = concat_rows([*views, selection], axis=-1)
-        elif variant == VARIANT_CHAIN:
-            inputs = concat_rows([views[-1], selection], axis=-1)
         else:
-            raise ValueError(f"unknown variant {variant!r}")
+            inputs = concat_rows([views[-1], selection], axis=-1)
         views.append(tanh_ew(linear(inputs, leaves[f"view{position}.combine"])))
     views.append(selections[-1])
     return views
@@ -197,7 +195,6 @@ def init_parameters(config: TrainConfig, vocab_size: int, num_classes: int,
     fan_out)); biases start at zero; a missing embedding table is drawn
     uniform from [-0.05, 0.05].
     """
-    config.validate()
     params: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for name, shape, init in parameter_layout(config, vocab_size, num_classes):
         if init == "embedding" and embedding is not None:
@@ -221,7 +218,6 @@ class MvnModel:
 
     def __init__(self, config: TrainConfig, vocab: Vocabulary, num_classes: int,
                  params: "OrderedDict[str, np.ndarray]"):
-        config.validate()
         if num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {num_classes}")
         self.config = config

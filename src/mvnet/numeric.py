@@ -53,8 +53,6 @@ class ShapeError(NumericError):
 
     def __init__(self, op: str, detail: str):
         super().__init__(f"{op}: {detail}")
-        self.op = op
-        self.detail = detail
 
 
 def _as_value(value) -> np.ndarray:
@@ -71,8 +69,7 @@ def require_finite(op: str, value: np.ndarray, what: str = "result") -> None:
 class Tensor:
     """One graph node: a float64 array plus a gradient accumulator."""
 
-    __slots__ = ("graph", "value", "grad", "requires_grad", "op", "name",
-                 "_inputs", "_push")
+    __slots__ = ("graph", "value", "grad", "requires_grad", "op", "name", "_push")
 
     def __init__(self, graph: "Graph", value: np.ndarray,
                  requires_grad: bool, op: str, name: str | None = None):
@@ -82,7 +79,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.op = op
         self.name = name
-        self._inputs: tuple = ()
         self._push: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -136,7 +132,6 @@ class Graph:
         requires = any(t.requires_grad for t in inputs)
         node = Tensor(self, arr, requires, op)
         if requires:
-            node._inputs = inputs
             node._push = push
             self.nodes.append(node)
         return node

@@ -37,7 +37,7 @@ class AdadeltaState:
 
 
 def adadelta_step(params, grads, state: AdadeltaState, lr_scale: float,
-                  rho: float, eps: float):
+                  rho: float, eps: float) -> None:
     """One accumulated-update step, in place, per coordinate:
 
         Eg <- rho * Eg + (1 - rho) * g^2
@@ -71,7 +71,6 @@ def adadelta_step(params, grads, state: AdadeltaState, lr_scale: float,
             ex += np.multiply(np.multiply(delta, 1.0 - rho, out=b), delta, out=b)
             xb -= np.multiply(delta, lr_scale, out=delta)
             require_finite("adadelta_step", xb, repr(name))
-    return params, state
 
 
 def sample_dropout_mask(rng: np.random.Generator, size,
@@ -79,8 +78,6 @@ def sample_dropout_mask(rng: np.random.Generator, size,
     """Inverted-dropout mask of ``size`` (an int or a shape): zero with
     probability ``rate``, else 1/(1-rate). A (B, n) draw is the B draws of n
     made one after another from the same stream."""
-    if rate <= 0.0:
-        return np.ones(size)
     keep = rng.random(size) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
@@ -98,20 +95,14 @@ class RngStreams:
                    dropout=seed_stream(seed, "dropout"))
 
 
-@dataclass
-class EpochStats:
-    mean_loss: float
-    accuracy: float
-
-
 def train_epoch(model: MvnModel, dataset, config: TrainConfig,
-                streams: RngStreams, state: AdadeltaState) -> EpochStats:
-    """One pass over the shuffled data in mini-batches.
+                streams: RngStreams, state: AdadeltaState) -> float:
+    """One pass over the shuffled data in mini-batches; returns the mean
+    cross-entropy over the epoch's documents.
 
     Every batch runs as one padded forward pass on a single graph, with one
     (B, V * d) dropout draw, and its mean cross-entropy is pushed backward
-    once; the trailing partial batch is used. Accuracy is measured on the
-    train-mode logits as they are produced. A ``NumericError`` names the
+    once; the trailing partial batch is used. A ``NumericError`` names the
     batch, counted from 1.
 
     Tensors and their graph reference each other, so each batch's tape is
@@ -127,7 +118,6 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
     streams.shuffle.shuffle(order)
     mask_width = config.views * config.view_dim
     loss_total = 0.0
-    correct = 0
     previous = None
     for number, start in enumerate(range(0, len(order), config.batch_size), start=1):
         docs = [dataset[int(index)] for index in order[start:start + config.batch_size]]
@@ -148,14 +138,12 @@ def train_epoch(model: MvnModel, dataset, config: TrainConfig,
         except NumericError as exc:
             exc.args = (f"batch {number}: {exc}",)
             raise
-        correct += int((np.argmax(logits.value, axis=1) == labels).sum())
         if previous is not None:
             previous.release()
         previous = graph
         loss_total += batch_loss.item() * len(docs)
     previous.release()
-    count = len(dataset)
-    return EpochStats(mean_loss=loss_total / count, accuracy=correct / count)
+    return loss_total / len(dataset)
 
 
 @dataclass
@@ -255,12 +243,12 @@ def fit(model: MvnModel, train_set, dev_set, config: TrainConfig,
     curve: list[EpochRecord] = []
     for epoch in range(1, config.max_epochs + 1):
         try:
-            stats = train_epoch(model, train_set, config, streams, state)
+            train_loss = train_epoch(model, train_set, config, streams, state)
             dev = evaluate(model, dev_set)
         except NumericError as exc:
             exc.args = (f"epoch {epoch}, {exc}",)
             raise
-        record = EpochRecord(epoch=epoch, train_loss=stats.mean_loss,
+        record = EpochRecord(epoch=epoch, train_loss=train_loss,
                              dev_loss=dev.mean_loss, dev_accuracy=dev.accuracy)
         curve.append(record)
         if progress is not None:

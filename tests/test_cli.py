@@ -280,6 +280,17 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err == f"error: {vectors}:1: non-finite value\n"
 
+    def test_blank_embeddings_file_reports_one_line(self, workspace, capsys):
+        vectors = workspace / "blank-vectors.txt"
+        vectors.write_text("\n\n")
+        code = main(["train", "--config", str(workspace / "tiny.cfg"),
+                     "--train", str(workspace / "train.tsv"),
+                     "--dev", str(workspace / "dev.tsv"),
+                     "--embeddings", str(vectors), "--out", str(workspace / "blank-run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {vectors}: no vectors found\n"
+
     @pytest.mark.parametrize("command,role", [
         ("train", "dev"), ("eval", "test"), ("ablate", "dev"), ("ablate", "test"),
         ("sweep-views", "test"), ("analyze-views", "test")])

@@ -9,7 +9,6 @@ from mvnet.config import (
     ConfigError,
     TrainConfig,
     config_from_dict,
-    config_to_dict,
     load_config,
     parse_config_text,
     preset,
@@ -52,10 +51,15 @@ class TestValidation:
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):
-            dataclasses.replace(TrainConfig(), **{field: value}).validate()
+            dataclasses.replace(TrainConfig(), **{field: value})
 
     def test_defaults_validate(self):
         TrainConfig().validate()
+
+    def test_fields_cannot_be_assigned(self):
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.views = 0
 
 
 class TestTextFormat:
@@ -108,10 +112,10 @@ class TestTextFormat:
 class TestDictFormat:
     def test_round_trip(self):
         config = TrainConfig(views=6, variant="no-links")
-        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(dataclasses.asdict(config)) == config
 
     def test_unknown_key_rejected(self):
-        data = config_to_dict(TrainConfig())
+        data = dataclasses.asdict(TrainConfig())
         data["colour"] = 1
         with pytest.raises(ConfigError, match="colour"):
             config_from_dict(data)

@@ -26,16 +26,16 @@ class TestLoading:
         assert malformed == 0
 
     def test_malformed_lines_counted_and_skipped(self, tmp_path):
-        text = "1\tgood one\n" * 200 + "no tab here\nx\talso bad\n-1\tnegative\n2\t...\n"
-        docs, malformed = load_dataset(write(tmp_path, text), max_malformed_fraction=0.05)
-        assert len(docs) == 200
+        text = "1\tgood one\n" * 400 + "no tab here\nx\talso bad\n-1\tnegative\n2\t...\n"
+        docs, malformed = load_dataset(write(tmp_path, text))
+        assert len(docs) == 400
         # no tab, non-integer label, negative label, punctuation-only text
         assert malformed == 4
 
     def test_too_many_malformed_lines_abort(self, tmp_path):
         path = write(tmp_path, "1\tok\nbad line\n")
         with pytest.raises(DatasetError, match="malformed"):
-            load_dataset(path, max_malformed_fraction=0.01)
+            load_dataset(path)
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(DatasetError):

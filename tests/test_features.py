@@ -77,7 +77,7 @@ class TestEmbeddingTable:
         vocab = Vocabulary.from_tokens(["cat", "dog"])
         path = tmp_path / "vectors.txt"
         path.write_text("cat 1.0 2.0 3.0\nzebra 9.0 9.0 9.0\n")
-        table = load_embeddings(path, vocab, rng)
+        table = load_embeddings(path, vocab, rng, dim=3)
         np.testing.assert_array_equal(table[vocab.lookup("cat")], [1.0, 2.0, 3.0])
         # dog is uncovered: keeps its random fill
         assert (np.abs(table[vocab.lookup("dog")]) <= 0.05).all()
@@ -87,7 +87,7 @@ class TestEmbeddingTable:
         vocab = Vocabulary.from_tokens(["cat"])
         path = tmp_path / "vectors.txt"
         path.write_text(f"{PAD_TOKEN} 5.0 5.0\n{UNK_TOKEN} 6.0 6.0\ncat 1.0 2.0\n")
-        table = load_embeddings(path, vocab, rng)
+        table = load_embeddings(path, vocab, rng, dim=2)
         assert (np.abs(table[0]) <= 0.05).all()
         assert (np.abs(table[1]) <= 0.05).all()
         np.testing.assert_array_equal(table[2], [1.0, 2.0])
@@ -98,8 +98,8 @@ class TestEmbeddingTable:
         path_a.write_text("cat 1.0 2.0\n")
         path_b = tmp_path / "b.txt"
         path_b.write_text("zebra 3.0 4.0\n")
-        table_a = load_embeddings(path_a, vocab, np.random.default_rng(3))
-        table_b = load_embeddings(path_b, vocab, np.random.default_rng(3))
+        table_a = load_embeddings(path_a, vocab, np.random.default_rng(3), dim=2)
+        table_b = load_embeddings(path_b, vocab, np.random.default_rng(3), dim=2)
         # dog is uncovered in both files; its random row must not depend on
         # which other tokens the file happened to cover
         np.testing.assert_array_equal(table_a[vocab.lookup("dog")],
@@ -116,28 +116,36 @@ class TestEmbeddingTable:
         path = tmp_path / "vectors.txt"
         path.write_text("cat 1.0 2.0\ndog 1.0\n")
         with pytest.raises(EmbeddingFileError, match="2"):
-            load_embeddings(path, Vocabulary.from_tokens(["cat", "dog"]), rng)
+            load_embeddings(path, Vocabulary.from_tokens(["cat", "dog"]), rng, dim=2)
 
     def test_non_numeric_value_reports_line(self, tmp_path, rng):
         path = tmp_path / "vectors.txt"
         path.write_text("cat 1.0 two\n")
         with pytest.raises(EmbeddingFileError, match="non-numeric"):
-            load_embeddings(path, Vocabulary.from_tokens(["cat"]), rng)
+            load_embeddings(path, Vocabulary.from_tokens(["cat"]), rng, dim=2)
 
     def test_non_finite_value_reports_line(self, tmp_path, rng):
         path = tmp_path / "vectors.txt"
         path.write_text("alpha nan 0.1\nbeta 0.2 inf\n")
         with pytest.raises(EmbeddingFileError, match=r"vectors\.txt:1: non-finite value"):
-            load_embeddings(path, Vocabulary.from_tokens(["alpha", "beta"]), rng)
+            load_embeddings(path, Vocabulary.from_tokens(["alpha", "beta"]), rng, dim=2)
         path.write_text("alpha 0.3 0.1\nbeta 0.2 -inf\n")
         with pytest.raises(EmbeddingFileError, match=r"vectors\.txt:2: non-finite value"):
-            load_embeddings(path, Vocabulary.from_tokens(["alpha", "beta"]), rng)
+            load_embeddings(path, Vocabulary.from_tokens(["alpha", "beta"]), rng, dim=2)
 
     def test_empty_file_rejected(self, tmp_path, rng):
         path = tmp_path / "vectors.txt"
         path.write_text("\n\n")
         with pytest.raises(EmbeddingFileError, match="no vectors"):
-            load_embeddings(path, Vocabulary.from_tokens(["cat"]), rng)
+            load_embeddings(path, Vocabulary.from_tokens(["cat"]), rng, dim=1)
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n\n"])
+    def test_file_without_vectors_rejected_at_any_width(self, tmp_path, rng, text):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text)
+        for dim in (1, 8, 300):
+            with pytest.raises(EmbeddingFileError, match=r"vectors\.txt: no vectors found"):
+                load_embeddings(path, Vocabulary.from_tokens(["cat"]), rng, dim=dim)
 
 
 def make_bank(graph, width, rng):
