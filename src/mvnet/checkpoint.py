@@ -99,7 +99,7 @@ def load_checkpoint(path) -> MvnModel:
             raise CheckpointError(f"{path}: bad class count {num_classes!r}")
         try:
             config = config_from_dict(header["config"])
-        except (ConfigError, TypeError) as exc:
+        except ConfigError as exc:
             raise CheckpointError(f"{path}: bad config: {exc}") from None
         stored = header["tensors"]
         if not isinstance(stored, list):

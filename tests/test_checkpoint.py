@@ -17,8 +17,9 @@ from mvnet.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from mvnet.cli import main
 from mvnet.config import TrainConfig
-from mvnet.data import LabeledDocument
+from mvnet.data import LabeledDocument, save_dataset
 from mvnet.files import atomic_open
 from mvnet.model import MvnModel
 from mvnet.training import build_model
@@ -203,6 +204,30 @@ class TestCorruption:
             embed_dim=float(h["config"]["embed_dim"])))
         with pytest.raises(CheckpointError, match="embed_dim must be an integer"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("two_layer_classifier", "no", "two_layer_classifier must be a boolean"),
+        ("dropout", "0.2", "dropout must be a real number"),
+    ])
+    def test_mistyped_config_value_rejected(self, model, tmp_path, field, value, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda h: h["config"].update({field: value}))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_mistyped_config_value_is_one_error_line(self, model, tmp_path, tiny_corpus,
+                                                     capsys):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        rewrite_header(path, lambda h: h["config"].update(two_layer_classifier="no"))
+        test = tmp_path / "test.tsv"
+        save_dataset(test, tiny_corpus[2])
+        code = main(["eval", "--checkpoint", str(path), "--test", str(test),
+                     "--out", str(tmp_path / "scored")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: bad config: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, model, tmp_path, value):

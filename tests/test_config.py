@@ -48,6 +48,10 @@ class TestValidation:
         ("epsilon", float("nan")), ("epsilon", float("inf")),
         ("lr_scale", float("nan")), ("lr_scale", -1.0),
         ("views", 2.0), ("embed_dim", True), ("hidden_dim", 8.5),
+        ("conv_features", "off"), ("two_layer_classifier", "no"), ("dropout", "0.2"),
+        ("lr_scale", True), ("dropout", False),
+        pytest.param("epsilon", 10**400, id="epsilon-huge-int"),
+        pytest.param("lr_scale", 10**400, id="lr_scale-huge-int"),
     ])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

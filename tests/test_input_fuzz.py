@@ -4,12 +4,14 @@ error class, and the command line turns each of those errors into one
 ``error: ...`` line and exit status 2."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mvnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from mvnet.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from mvnet.cli import main
 from mvnet.config import VARIANTS, ConfigError, TrainConfig, parse_config_text
 from mvnet.data import DatasetError, load_dataset, save_dataset
@@ -104,6 +106,7 @@ TINY_CONFIG = "views = 2\nview_dim = 4\nembed_dim = 3\nmax_epochs = 1\nconv_feat
 
 @pytest.mark.parametrize("role,content,message", [
     ("config", b"views = 2\ndropout = lots\n", ":2: bad value for dropout"),
+    ("config", b"views = 2\nviews = 0\n", ":2: bad value for views"),
     ("config", b"views = 2\nview_dim = \xff\n", ":2: not UTF-8 text"),
     ("train", b"0\tred apple\n1\tblue \xc3\x28 sky\n", ":2: not UTF-8 text"),
     ("train", b"0\tred apple\nno tab here\n", "1 of 2 lines malformed"),
@@ -166,6 +169,35 @@ def test_corrupt_checkpoint_loads_finite_or_raises_checkpoint_error(
         return
     for name, array in model.params.items():
         assert np.isfinite(array).all(), name
+
+
+JSON_VALUES = st.one_of(st.text(max_size=8), st.booleans(), st.integers(), st.floats(),
+                        st.none(), st.lists(st.integers(), max_size=3))
+# The Python types a loaded config field may hold, by its annotation string.
+ANNOTATED_TYPES = {"int": int, "int | None": (int, type(None)), "float": (int, float),
+                   "bool": bool, "str": str}
+
+
+@FUZZ
+@given(key=st.sampled_from(KEYS[:-2]), value=JSON_VALUES)
+def test_retyped_config_value_loads_typed_or_raises_checkpoint_error(
+        tmp_path, checkpoint_bytes, key, value):
+    start = len(MAGIC) + 8
+    end = start + struct.unpack("<Q", checkpoint_bytes[len(MAGIC):start])[0]
+    header = json.loads(checkpoint_bytes[start:end])
+    header["config"][key] = value
+    blob = json.dumps(header).encode()
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + checkpoint_bytes[end:])
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    for field in dataclasses.fields(TrainConfig):
+        value = getattr(model.config, field.name)
+        assert isinstance(value, ANNOTATED_TYPES[field.type]), field.name
+        assert isinstance(value, bool) == (field.type == "bool"), field.name
 
 
 def test_corrupt_checkpoint_prints_one_line_and_exits_2(tmp_path, capsys,
