@@ -18,7 +18,7 @@ from mvnet.features import (
     project,
     tokenize,
 )
-from mvnet.numeric import Graph
+from mvnet.numeric import Graph, gather_rows
 
 # Tokenization lowercases, splits on whitespace, and strips edge punctuation.
 text = "The film, despite flaws, is genuinely moving!"
@@ -36,26 +36,29 @@ embed_dim, feature_dim = 10, 6
 table = init_embeddings(vocab, embed_dim, rng)
 
 graph = Graph()
-rows = graph.tensor(table[[vocab.lookup(t) for t in tokens]])
 weight = graph.tensor(rng.normal(size=(embed_dim, feature_dim)) * 0.3)
 bias = graph.tensor(np.zeros(feature_dim))
-projected = project(rows, weight, bias)
+# Each distinct token is projected once. The vocabulary's slot 0 is <pad>,
+# so the projected table starts with the pad row that fills short windows.
+token_rows = project(graph.tensor(table), weight, bias)
+ids = np.array([[vocab.lookup(t) for t in tokens]])
+projected = gather_rows(token_rows, ids)
 print(f"\nprojected word rows: {projected.shape}")
 
-# One filter per n-gram order slides over the projected rows; max pooling
-# keeps the strongest response per output coordinate. The filters are looked
-# up by the names a model gives its parameters.
+# One filter per n-gram order slides over the text's rows; max pooling keeps
+# the strongest response per output coordinate. The filters are looked up by
+# the names a model gives its parameters, and one node pools every order.
 filters = {}
 for order in NGRAM_ORDERS:
     filters[f"ngram{order}.filter"] = graph.tensor(
         rng.normal(size=(feature_dim, order * feature_dim)) * 0.2)
     filters[f"ngram{order}.bias"] = graph.tensor(np.zeros(feature_dim))
-pooled = ngram_features(projected, filters)
-for order, vector in zip(NGRAM_ORDERS, pooled):
-    print(f"  {order}-gram vector: {np.array_str(vector.value, precision=3)}")
+pooled = ngram_features(token_rows, filters, ids)
+for order, vector in zip(NGRAM_ORDERS, pooled.value):
+    print(f"  {order}-gram vector: {np.array_str(vector, precision=3)}")
 
 # The final feature matrix stacks word rows and pooled vectors: with orders
 # 2-5 a document of H words always yields H + 4 rows.
 features = augment_features(projected, pooled)
-print(f"\nfeature matrix: {features.shape} "
+print(f"\nfeature matrix: {features.shape[1:]} "
       f"({len(tokens)} word rows + {len(NGRAM_ORDERS)} pooled rows)")

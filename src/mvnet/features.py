@@ -11,15 +11,13 @@ import numpy as np
 
 from .files import read_lines
 from .numeric import (
-    ShapeError,
     Tensor,
     concat_rows,
+    gather_rows,
     linear,
-    max_rows,
-    reshape,
+    pool_windows,
     tanh_ew,
     transpose,
-    unfold,
 )
 
 PAD_TOKEN = "<pad>"
@@ -139,46 +137,18 @@ def project(rows: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return tanh_ew(linear(rows, transpose(weight), bias))
 
 
-def ngram_features(projected: Tensor, leaves: Mapping[str, Tensor],
-                   lengths: np.ndarray | None = None) -> list[Tensor]:
-    """One pooled vector per n-gram order, for one text (rows, d) or for
-    each text of a padded batch (B, T, d).
-
-    Each window of n consecutive projected rows is flattened (one ``unfold``
-    per order), pushed with tanh through the order's (d, n * d) filter and
-    (d,) bias, ``leaves["ngram<n>.filter"]`` and ``leaves["ngram<n>.bias"]``,
-    and the results are max-pooled over window positions. The rows past a
-    text's length (its entry in ``lengths``; None means no text is padded)
-    must be projected pad rows. They fill the single window of a text shorter
-    than n and are masked out of every other text's pool, so the row count
-    must reach the largest order.
-    """
-    if projected.ndim not in (2, 3):
-        raise ShapeError("ngram_features",
-                         f"expected rows or a batch of rows, got {projected.shape}")
-    rows = projected.shape[-2]
-    if rows < max(NGRAM_ORDERS):
-        raise ShapeError("ngram_features",
-                         f"{rows} rows are fewer than the order-{max(NGRAM_ORDERS)} "
-                         f"window; pad the text with pad rows")
-    pooled = []
-    for order in NGRAM_ORDERS:
-        valid = None
-        if lengths is not None:
-            # Window p is valid while it ends inside the text; a short text
-            # keeps its first window.
-            last = np.maximum(np.asarray(lengths) - order, 0)
-            valid = np.arange(rows - order + 1) <= np.expand_dims(last, -1)
-        activations = tanh_ew(linear(unfold(projected, order),
-                                     leaves[f"ngram{order}.filter"],
-                                     leaves[f"ngram{order}.bias"]))
-        pooled.append(max_rows(activations, valid))
-    return pooled
+def ngram_features(token_rows: Tensor, leaves: Mapping[str, Tensor], ids) -> Tensor:
+    """One :func:`pool_windows` node: row k * B + b of the (n * B, d) block is
+    text b's pooled row of order n = ``NGRAM_ORDERS[k]`` through the leaves
+    ``ngram<n>.filter`` and ``ngram<n>.bias``, ``ids`` as pool_windows takes them."""
+    return pool_windows(token_rows, ids,
+                        [leaves[f"ngram{order}.filter"] for order in NGRAM_ORDERS],
+                        [leaves[f"ngram{order}.bias"] for order in NGRAM_ORDERS])
 
 
-def augment_features(projected: Tensor, ngram_vectors: Sequence[Tensor]) -> Tensor:
-    """Stack the pooled n-gram vectors under the projected word rows of each
-    text: (..., T, d) and n vectors (..., d) give (..., T + n, d)."""
-    row_shape = projected.shape[:-2] + (1, projected.shape[-1])
-    extra = [reshape(v, row_shape) for v in ngram_vectors]
-    return concat_rows([projected, *extra], axis=projected.ndim - 2)
+def augment_features(projected: Tensor, pooled: Tensor) -> Tensor:
+    """Stack each text's pooled rows, from the (n * B, d) block of
+    :func:`ngram_features`, under its (B, T, d) word rows: (B, T + n, d)."""
+    batch = projected.shape[0]
+    order_rows = np.arange(batch)[:, None] + batch * np.arange(pooled.shape[0] // batch)
+    return concat_rows([projected, gather_rows(pooled, order_rows)], axis=1)

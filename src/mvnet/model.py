@@ -280,16 +280,11 @@ class MvnModel:
         # One slot per distinct id, <pad> first: each is projected once, then
         # gathered per token (the row-wise projection gives the same values).
         slots = {self.vocab.pad_index: 0}
-        ids = np.zeros((len(docs), width), dtype=np.intp)
+        ids = np.full((len(docs), width), -1, dtype=np.intp)
         for row, doc in zip(ids, docs):
             row[:len(doc.tokens)] = [slots.setdefault(self.vocab.lookup(t), len(slots))
                                      for t in doc.tokens]
         distinct = np.fromiter(slots, dtype=np.intp, count=len(slots))
-        padded = min(lengths) < width
-        valid = None
-        if padded:
-            lengths = np.array(lengths)
-            valid = np.arange(width) < lengths[:, None]
         token_rows = project(gather_rows(bound["embedding"], distinct),
                              bound["projection.weight"], bound["projection.bias"])
         # One table of distinct feature rows, addressed per document and
@@ -298,16 +293,15 @@ class MvnModel:
         # scores; the rows the heads mix are gathered the same way.
         table, row_index = token_rows, ids
         if self.config.conv_features:
-            pooled = ngram_features(gather_rows(token_rows, ids), bound,
-                                    lengths if padded else None)
             # Document b's pooled row of the k-th order is table row
             # U + k * B + b, with U = len(slots) token rows before them.
             batch = len(docs)
-            table = concat_rows([token_rows, *pooled])
+            table = concat_rows([token_rows, ngram_features(token_rows, bound, ids)])
             row_index = np.hstack([ids, len(slots) + np.arange(batch)[:, None]
-                                   + batch * np.arange(len(pooled))])
-            if padded:
-                valid = np.pad(valid, ((0, 0), (0, len(pooled))), constant_values=True)
+                                   + batch * np.arange(len(NGRAM_ORDERS))])
+        # Past its end a document reads the <pad> row, masked out of attention.
+        valid = row_index >= 0 if min(lengths) < width else None
+        row_index = np.maximum(row_index, 0)
         columns = transpose(gather_rows(table, row_index))
         selections = []
         weights = []

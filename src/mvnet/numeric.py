@@ -8,13 +8,14 @@ runs bit-identical. A tensor that needs no gradient stays off the tape and
 is freed as soon as nothing uses it.
 
 The structural ops accept leading batch axes, so one graph can carry a whole
-mini-batch of padded documents; the ops that reduce over rows (``softmax_vec``,
-``max_rows``) take a validity mask that keeps padding out of the result
-without ever recording an infinite value.
+mini-batch of padded documents: ``softmax_vec`` takes a validity mask and
+``pool_windows`` reads each text's length from its row ids, so padding stays
+out of the result without ever recording an infinite value.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -31,12 +32,11 @@ __all__ = [
     "tanh_ew",
     "softmax_vec",
     "concat_rows",
-    "unfold",
     "linear",
     "reshape",
     "transpose",
-    "max_rows",
     "gather_rows",
+    "pool_windows",
     "cross_entropy",
     "sum_all",
     "mean_scalars",
@@ -294,29 +294,6 @@ def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return graph._record("concat_rows", out, tuple(parts), push, copied=True)
 
 
-def unfold(a: Tensor, order: int) -> Tensor:
-    """Every window of ``order`` consecutive rows, flattened: (..., rows, d) ->
-    (..., rows - order + 1, order * d); window p is rows p..p+order-1 end to
-    end, taken separately under each leading batch index."""
-    if a.ndim < 2:
-        raise ShapeError("unfold", f"expected a matrix, got {a.shape}")
-    rows, width = a.shape[-2:]
-    if not 1 <= order <= rows:
-        raise ShapeError("unfold", f"order {order} invalid for {rows} rows")
-    count = rows - order + 1
-    # Window p chains rows p, p+1, ..., so the k-th row block of every
-    # window is the matrix shifted up by k rows.
-    out = np.concatenate([a.value[..., k:k + count, :] for k in range(order)], axis=-1)
-
-    def push(grad):
-        full = np.zeros_like(a.value)
-        for k in range(order):
-            full[..., k:k + count, :] += grad[..., k * width:(k + 1) * width]
-        _accum(a, full, own=True)
-
-    return a.graph._record("unfold", out, (a,), push, copied=True)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map x @ weight^T + bias of rows x (..., in), a vector or rows
     under any leading axes, with weight (out, in); ``bias`` (out,) is
@@ -368,33 +345,6 @@ def transpose(a: Tensor) -> Tensor:
     return a.graph._record("transpose", out, (a,), push, copied=True)
 
 
-def max_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Columnwise maximum over the rows of each matrix (..., rows, d) ->
-    (..., d); gradient flows to the first maximal row. ``mask`` (..., rows),
-    boolean, marks the rows that may win; every matrix needs one."""
-    if a.ndim < 2 or a.shape[-2] < 1:
-        raise ShapeError("max_rows", f"expected a nonempty matrix, got {a.shape}")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != a.shape[:-1] or not mask.any(axis=-1).all():
-            raise ShapeError("max_rows", f"mask {mask.shape} does not leave a "
-                                         f"valid row in every matrix of {a.shape}")
-
-    def candidates():
-        return a.value if mask is None else np.where(mask[..., None], a.value, -np.inf)
-
-    out = candidates().max(axis=-2)
-
-    def push(grad):
-        # first max per column: deterministic subgradient
-        winners = np.argmax(candidates(), axis=-2)[..., None, :]
-        full = np.zeros_like(a.value)
-        np.put_along_axis(full, winners, grad[..., None, :], axis=-2)
-        _accum(a, full, own=True)
-
-    return a.graph._record("max_rows", out, (a,), push, copied=True)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows of ``a`` by an index array of any shape, repeats allowed:
     the result has shape ``indices.shape + a.shape[1:]``; backward
@@ -421,6 +371,92 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         _accum(a, full, own=True)
 
     return a.graph._record("gather_rows", out, (a,), push, copied=True)
+
+
+@lru_cache(maxsize=8)
+def _tap_layout(orders: tuple[int, ...]):
+    """The tap count, the orders, each filter's first tap, each tap's filter
+    group[t] and window offset shift[t], and ``group``'s (K, taps) indicator."""
+    group = np.repeat(np.arange(len(orders)), orders)
+    layout = (np.array(orders), np.cumsum(orders) - orders, group,
+              np.array([j for n in orders for j in range(n)]), np.eye(len(orders))[:, group])
+    for array in layout:
+        array.flags.writeable = False
+    return (len(group), *layout)
+
+
+def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
+                 biases: Sequence[Tensor]) -> Tensor:
+    """Max-over-time pooled tanh filter responses of each text of a batch.
+
+    ``ids`` (B, T) holds each text's rows of ``table`` (U, d), then -1 past
+    its end, where the text reads row 0, the pad row. Filter k, (d, n * d)
+    with a (d,) bias, maps each window of n consecutive positions to
+    tanh(filter @ rows end to end + bias); each channel keeps its largest
+    response over the windows p <= max(length - n, 0), so a text shorter
+    than n keeps its single padded window. The result is (K * B, d): row
+    k * B + b is text b's pool under filter k.
+
+    Each filter's (d, d) block per window offset (tap) multiplies the table
+    once. Only the first maximal window of each text, filter and channel,
+    found in backward, gets a gradient, so scoring never looks for it.
+    """
+    inputs = (table, *filters, *biases)
+    graph = _graph_of("pool_windows", *inputs)
+    slots = np.asarray(ids, dtype=np.intp)
+    rows, width = table.shape if table.ndim == 2 else (0, 0)
+    orders = tuple(f.size // max(width * width, 1) for f in filters)
+    # The id check is one pass: -1 becomes 0 and a lower id a huge unsigned one.
+    if (slots.ndim != 2 or not filters or len(filters) != len(biases)
+            or any(n < 1 or f.shape != (width, n * width) or b.shape != (width,)
+                   for f, b, n in zip(filters, biases, orders))
+            or slots.shape[1] < max(orders)
+            or slots.size and (slots + 1).view(np.uintp).max() > rows):
+        raise ShapeError("pool_windows", f"filters and biases must fit table {table.shape},"
+                                         f" and ids {slots.shape} must be its rows, padded"
+                                         f" with -1 to the widest window")
+    batch, positions = slots.shape
+    lengths = (slots >= 0).sum(axis=1)
+    slots = np.maximum(slots, 0)
+    taps, order, starts, group, shift, member = _tap_layout(orders)
+    # Q's row t * U + u is table row u through tap t's block; first taps add the bias.
+    q = np.empty((taps, rows, width))
+    for f, b, n, start in zip(filters, biases, orders, starts):
+        np.matmul(table.value, f.value.reshape(width, n, width).transpose(1, 2, 0),
+                  out=q[start:start + n])
+        q[start] += b.value
+    require_finite("pool_windows", q)
+    # Every filter slides over the narrowest one's windows; those past its
+    # own last window read the last position and are masked out.
+    windows = positions - min(orders) + 1
+    reads = (slots.T[np.minimum(shift[:, None] + np.arange(windows), positions - 1)]
+             + (rows * np.arange(taps))[:, None, None])
+    # The indicator product sums each filter's taps: y is (K, windows, B, d).
+    y = np.tanh((member @ np.take(q.reshape(-1, width), reads.reshape(taps, -1), axis=0)
+                 .reshape(taps, -1)).reshape(len(orders), windows, batch, width))
+    y[np.arange(windows)[:, None] > np.maximum(lengths - order[:, None], 0)[:, None]] = -np.inf
+    out = y.max(axis=1).reshape(-1, width)
+
+    def push(grad):
+        # First max per channel: a deterministic subgradient.
+        winner = np.argmax(y, axis=1)
+        top = np.take_along_axis(y, winner[:, None], axis=1)[:, 0]
+        dz = grad.reshape(top.shape) * (1.0 - top * top)
+        for bias, part in zip(biases, dz.sum(axis=1)):
+            _accum(bias, part, own=True)
+        # Each tap of a winning window adds to Q's gradient at its text's
+        # slot, laid out per filter as the filter's rows viewed as (d * n, d).
+        read = slots[np.arange(batch)[:, None], winner[group] + shift[:, None, None]]
+        column = ((starts[group] * width + shift)[:, None, None]
+                  + np.arange(width) * order[group][:, None, None])
+        dq = np.bincount((read * (taps * width) + column).reshape(-1), dz[group].reshape(-1),
+                         minlength=q.size).reshape(rows, -1)
+        _accum(table, dq @ np.concatenate([f.value.reshape(-1, width) for f in filters]))
+        dfilters = dq.T @ table.value
+        for f, start, n in zip(filters, starts, orders):
+            _accum(f, dfilters[start * width:(start + n) * width].reshape(width, -1), own=True)
+
+    return graph._record("pool_windows", out, inputs, push)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

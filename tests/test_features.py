@@ -187,43 +187,46 @@ class TestProjection:
 
 class TestNgramFeatures:
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4))
-    def test_pooled_vectors_match_window_oracle(self, lengths):
-        # A padded batch: every text runs to the longest one (at least the
-        # widest window) with copies of the pad row.
+    @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=6))
+    def test_pooled_vectors_match_window_oracle(self, lengths, distinct):
+        # A padded batch of texts drawn from a few distinct token rows, so
+        # that one row sits in several windows; row 0 is the pad row and
+        # ids run out as -1 at each text's end.
         width = 2
-        rng = np.random.default_rng(sum(lengths))
-        texts = [rng.normal(size=(length, width)) for length in lengths]
-        pad = rng.normal(size=(1, width))
+        rng = np.random.default_rng(sum(lengths) * 7 + distinct)
+        table = rng.normal(size=(distinct + 1, width))
         rows = max(max(lengths), max(NGRAM_ORDERS))
-        batch = np.stack([np.vstack([t] + [pad] * (rows - len(t))) for t in texts])
+        ids = np.full((len(lengths), rows), -1)
+        for row, length in zip(ids, lengths):
+            row[:length] = rng.integers(1, distinct + 1, size=length)
         g = Graph()
         filters = make_bank(g, width, rng)
-        pooled = ngram_features(g.tensor(batch), filters, np.array(lengths))
-        assert len(pooled) == len(NGRAM_ORDERS)
-        for vector, order in zip(pooled, NGRAM_ORDERS):
-            assert vector.shape == (len(lengths), width)
+        pooled = ngram_features(g.tensor(table), filters, ids)
+        assert pooled.shape == (len(NGRAM_ORDERS) * len(lengths), width)
+        for k, order in enumerate(NGRAM_ORDERS):
             weight = filters[f"ngram{order}.filter"].value
             bias = filters[f"ngram{order}.bias"].value
-            for text, row in zip(texts, vector.value):
+            for b, length in enumerate(lengths):
                 # Texts shorter than the order are padded to a single window.
-                padded = np.vstack([text] + [pad] * max(0, order - len(text)))
+                text = table[ids[b, :length]]
+                padded = np.vstack([text] + [table[:1]] * max(0, order - length))
                 activations = np.array([
                     np.tanh(weight @ padded[p:p + order].reshape(-1) + bias)
                     for p in range(len(padded) - order + 1)
                 ])
-                np.testing.assert_allclose(row, activations.max(axis=0),
-                                           rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(pooled.value[k * len(lengths) + b],
+                                           activations.max(axis=0), rtol=1e-12, atol=1e-15)
 
     def test_short_text_uses_single_padded_window(self, rng):
         width = 2
-        rows = rng.normal(size=(2, width))
-        pad = rng.normal(size=(1, width))
+        table = rng.normal(size=(3, width))  # the pad row, then two tokens
         g = Graph()
         filters = make_bank(g, width, rng)
-        padded_rows = np.vstack([rows] + [pad] * (max(NGRAM_ORDERS) - 2))
-        pooled = ngram_features(g.tensor(padded_rows), filters, 2)
-        for vector, order in zip(pooled, NGRAM_ORDERS):
+        ids = np.array([[1, 2] + [-1] * (max(NGRAM_ORDERS) - 2)])
+        pooled = ngram_features(g.tensor(table), filters, ids)
+        rows, pad = table[1:], table[:1]
+        for vector, order in zip(pooled.value, NGRAM_ORDERS):
             weight = filters[f"ngram{order}.filter"].value
             bias = filters[f"ngram{order}.bias"].value
             if order <= 2:
@@ -233,23 +236,26 @@ class TestNgramFeatures:
             else:
                 padded = np.vstack([rows] + [pad] * (order - 2)).reshape(-1)
                 expected = np.tanh(weight @ padded + bias)
-            np.testing.assert_allclose(vector.value, expected, rtol=1e-12)
+            np.testing.assert_allclose(vector, expected, rtol=1e-12)
 
     def test_short_text_without_pad_row_rejected(self, rng):
         g = Graph()
         filters = make_bank(g, 2, rng)
         with pytest.raises(ShapeError, match="pad"):
-            ngram_features(g.tensor(rng.normal(size=(2, 2))), filters)
+            ngram_features(g.tensor(rng.normal(size=(3, 2))), filters, np.array([[1, 2]]))
 
     def test_augmented_matrix_adds_one_row_per_order(self, rng):
         width = 3
-        rows = rng.normal(size=(5, width))
+        table = rng.normal(size=(6, width))
+        ids = np.array([[1, 2, 3, 4, 5], [5, 5, 1, -1, -1]])
         g = Graph()
         filters = make_bank(g, width, rng)
-        projected = g.tensor(rows)
-        pooled = ngram_features(projected, filters)
+        pooled = ngram_features(g.tensor(table), filters, ids)
+        projected = g.tensor(table[np.maximum(ids, 0)])
         augmented = augment_features(projected, pooled)
-        assert augmented.shape == (5 + len(NGRAM_ORDERS), width)
-        np.testing.assert_array_equal(augmented.value[:5], rows)
-        for i, vector in enumerate(pooled):
-            np.testing.assert_array_equal(augmented.value[5 + i], vector.value)
+        assert augmented.shape == (2, 5 + len(NGRAM_ORDERS), width)
+        np.testing.assert_array_equal(augmented.value[:, :5], projected.value)
+        for k in range(len(NGRAM_ORDERS)):
+            for b in range(2):
+                np.testing.assert_array_equal(augmented.value[b, 5 + k],
+                                              pooled.value[k * 2 + b])

@@ -39,9 +39,11 @@ from mvnet.model import (
 from mvnet.numeric import (
     Graph,
     NumericError,
+    concat_rows,
     cross_entropy,
     finite_diff_check,
     gather_rows,
+    reshape,
     transpose,
 )
 from mvnet.training import evaluate, sample_dropout_mask
@@ -412,9 +414,16 @@ class TestBatchedForward:
                            ref["projection.weight"], ref["projection.bias"])
             valid = np.arange(width) < lengths[:, None]
             if conv:
-                pooled_rows = ngram_features(rows, ref, lengths)
+                # Every position is its own row of the n-gram table, after
+                # the pad row; -1 marks the positions past a text's end.
+                pad_row = project(gather_rows(ref["embedding"], [model.vocab.pad_index]),
+                                  ref["projection.weight"], ref["projection.bias"])
+                positions = np.where(valid, 1 + np.arange(ids.size).reshape(ids.shape), -1)
+                pooled_rows = ngram_features(
+                    concat_rows([pad_row, reshape(rows, (ids.size, rows.shape[-1]))]),
+                    ref, positions)
                 rows = augment_features(rows, pooled_rows)
-                valid = np.pad(valid, ((0, 0), (0, len(pooled_rows))),
+                valid = np.pad(valid, ((0, 0), (0, len(NGRAM_ORDERS))),
                                constant_values=True)
             columns = transpose(rows)
             selections = []

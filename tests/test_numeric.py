@@ -22,20 +22,35 @@ from mvnet.numeric import (
     gather_rows,
     linear,
     matvec,
-    max_rows,
     mean_scalars,
     mul,
+    pool_windows,
     require_finite,
     reshape,
     softmax_vec,
     sum_all,
     tanh_ew,
     transpose,
-    unfold,
 )
 
 def _leaf(graph, array):
     return graph.tensor(np.asarray(array, dtype=np.float64), requires_grad=True)
+
+
+def _window_pool_loop(table, ids, filters, biases):
+    """pool_windows by explicit loops: row k * B + b is the largest response
+    of filter k over text b's windows p <= max(length - n, 0), each window
+    the text's rows p..p+n-1 end to end, the pad row (row 0) past its end."""
+    out = []
+    for f, bias in zip(filters, biases):
+        n = f.shape[1] // table.shape[1]
+        for row in ids:
+            length = sum(1 for s in row if s >= 0)
+            text = [table[max(s, 0)] for s in row]
+            responses = [np.tanh(f @ np.concatenate(text[p:p + n]) + bias)
+                         for p in range(max(length - n, 0) + 1)]
+            out.append(np.max(responses, axis=0))
+    return np.array(out)
 
 
 class TestForwardOracles:
@@ -47,14 +62,19 @@ class TestForwardOracles:
         out = matvec(_leaf(g, a), _leaf(g, x))
         np.testing.assert_allclose(out.value, expected, rtol=0, atol=1e-14)
 
-    def test_unfold_matches_window_loop(self, rng):
-        a = rng.normal(size=(5, 3))
-        expected = np.array([np.concatenate([a[p + k] for k in range(3)])
-                             for p in range(5 - 3 + 1)])
+    def test_pool_windows_matches_window_loop(self, rng):
+        # Orders 1 and 3 over a padded batch; the 2-token text is shorter
+        # than the order-3 window and keeps its single padded window.
+        table = rng.normal(size=(6, 4))
+        ids = np.array([[1, 2, 3, 4, 5], [5, 5, -1, -1, -1], [2, 1, 4, -1, -1]])
+        filters = [rng.normal(size=(4, 4)), rng.normal(size=(4, 12)) * 0.5]
+        biases = [rng.normal(size=4), rng.normal(size=4)]
         g = Graph()
-        out = unfold(_leaf(g, a), 3)
-        assert out.shape == (3, 9)
-        np.testing.assert_array_equal(out.value, expected)
+        out = pool_windows(_leaf(g, table), ids, [_leaf(g, f) for f in filters],
+                           [_leaf(g, b) for b in biases])
+        assert out.shape == (6, 4)
+        np.testing.assert_allclose(out.value, _window_pool_loop(table, ids, filters, biases),
+                                   rtol=1e-13, atol=1e-15)
 
     def test_linear_matches_loop(self, rng):
         x = rng.normal(size=(3, 4))
@@ -98,11 +118,6 @@ class TestForwardOracles:
         with pytest.raises(ValueError, match="label"):
             cross_entropy(logits, -1)
 
-    def test_max_rows_takes_columnwise_maximum(self):
-        g = Graph()
-        a = _leaf(g, np.array([[1.0, 5.0], [3.0, 2.0], [2.0, 4.0]]))
-        np.testing.assert_array_equal(max_rows(a).value, [3.0, 5.0])
-
     def test_mean_scalars_matches_plain_mean(self, rng):
         values = rng.normal(size=6)
         g = Graph()
@@ -145,20 +160,18 @@ class TestBackwardOracles:
         g.backward(sum_all(gather_rows(table, [0, 2, 0])))
         np.testing.assert_array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
-    def test_max_rows_routes_ties_to_first_row(self):
+    def test_pool_windows_routes_ties_to_first_window(self):
+        # Rows 1 and 2 are equal, so the order-1 windows at positions 0 and
+        # 1 tie; the gradient goes to the first one's row alone.
         g = Graph()
-        a = _leaf(g, np.array([[2.0, 1.0], [2.0, 3.0]]))
-        g.backward(sum_all(max_rows(a)))
-        np.testing.assert_array_equal(a.grad, [[1.0, 0.0], [0.0, 1.0]])
-
-    def test_unfold_routes_gradient_to_every_window(self):
-        # Order-2 windows of 4 rows: the end rows sit in one window each,
-        # the middle rows in two.
-        g = Graph()
-        a = _leaf(g, np.arange(8.0).reshape(4, 2))
-        g.backward(sum_all(unfold(a, 2)))
-        np.testing.assert_array_equal(
-            a.grad, [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+        table = _leaf(g, [[0.0], [0.5], [0.5], [0.1]])
+        weight = _leaf(g, [[1.0]])
+        bias = _leaf(g, [0.0])
+        g.backward(sum_all(pool_windows(table, [[1, 2, 3]], [weight], [bias])))
+        slope = 1.0 - np.tanh(0.5) ** 2
+        np.testing.assert_allclose(table.grad, [[0.0], [slope], [0.0], [0.0]], rtol=1e-15)
+        np.testing.assert_allclose(weight.grad, [[0.5 * slope]], rtol=1e-15)
+        np.testing.assert_allclose(bias.grad, [slope], rtol=1e-15)
 
     def test_unreached_leaf_gets_zero_gradient(self):
         g = Graph()
@@ -203,17 +216,23 @@ class TestBatchesAndMasks:
         g.backward(sum_all(mul(y, g.tensor(rng.normal(size=(1, 4))))))
         assert (x.grad[~mask] == 0.0).all()
 
-    def test_masked_max_rows_ignores_invalid_rows(self):
+    def test_pool_windows_ignores_windows_past_the_text(self):
+        # The pad row (row 0) would win every window it joins: a 2-token
+        # text pools its one full window only, a 1-token text its single
+        # window padded with the pad row.
         g = Graph()
-        a = _leaf(g, [[[1.0, 9.0], [5.0, 2.0], [7.0, 8.0]]])
-        out = max_rows(a, np.array([[True, True, False]]))
-        np.testing.assert_array_equal(out.value, [[5.0, 9.0]])
-        g.backward(sum_all(out))
-        np.testing.assert_array_equal(a.grad, [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]])
+        table = _leaf(g, [[9.0], [0.25], [0.5]])
+        weight = _leaf(g, [[1.0, 1.0]])
+        bias = _leaf(g, [0.0])
+        out = pool_windows(table, [[1, 2, -1], [2, -1, -1]], [weight], [bias])
+        np.testing.assert_allclose(out.value, np.tanh([[0.75], [9.5]]), rtol=1e-15)
+        g.backward(sum_all(mul(out, g.tensor([[1.0], [0.0]]))))
+        slope = 1.0 - np.tanh(0.75) ** 2
+        np.testing.assert_allclose(table.grad, [[0.0], [slope], [slope]], rtol=1e-15)
 
-    @pytest.mark.parametrize("op", [softmax_vec, max_rows])
+    @pytest.mark.parametrize("op", [softmax_vec])
     def test_mask_must_leave_a_valid_entry(self, op):
-        a = Graph().tensor(np.ones((2, 3, 2)) if op is max_rows else np.ones((2, 3)))
+        a = Graph().tensor(np.ones((2, 3)))
         mask = np.array([[True, False, False], [False, False, False]])
         with pytest.raises(ShapeError, match="valid"):
             op(a, mask)
@@ -248,12 +267,15 @@ class TestBatchesAndMasks:
 
     def test_batched_ops_match_each_example(self, rng):
         g = Graph()
-        batch = rng.normal(size=(3, 5, 2))
-        weight = g.tensor(rng.normal(size=(4, 4)))
-        windows = linear(unfold(g.tensor(batch), 2), weight)
-        for example, result in zip(batch, windows.value):
-            alone = linear(unfold(g.tensor(example), 2), weight).value
-            np.testing.assert_allclose(result, alone, rtol=1e-14)
+        table = g.tensor(rng.normal(size=(5, 2)))
+        filters = [g.tensor(rng.normal(size=(2, 2 * n))) for n in (2, 3)]
+        biases = [g.tensor(rng.normal(size=2)) for _ in filters]
+        ids = np.array([[1, 2, 3, 4, 1], [4, 4, 3, -1, -1], [2, -1, -1, -1, -1]])
+        pooled = pool_windows(table, ids, filters, biases).value.reshape(2, 3, 2)
+        for b, row in enumerate(ids):
+            alone = pool_windows(table, row[None, :max(3, (row >= 0).sum())],
+                                 filters, biases).value
+            np.testing.assert_allclose(pooled[:, b], alone, rtol=1e-14)
 
     def test_results_without_a_gradient_stay_off_the_tape(self):
         g = Graph()
@@ -282,12 +304,23 @@ class TestBatchesAndMasks:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("shape,order", [
-        ((3, 2), 0), ((3, 2), 4), ((6,), 2), ((), 1),
+    @pytest.mark.parametrize("table_shape,ids,filter_shapes,bias_shapes", [
+        ((4, 2), [1, 2, 3], [(2, 4)], [(2,)]),           # ids are not (B, T)
+        ((4, 2), [[1, 2]], [(2, 6)], [(2,)]),            # fewer positions than the window
+        ((4, 2), [[1, 4, 2]], [(2, 4)], [(2,)]),         # id past the table
+        ((4, 2), [[1, -2, 2]], [(2, 4)], [(2,)]),        # id below -1
+        ((4, 2), [[1, 2, 3]], [(2, 5)], [(2,)]),         # filter is not (d, n * d)
+        ((4, 2), [[1, 2, 3]], [(2, 4)], [(3,)]),         # bias does not match d
+        ((4, 2), [[1, 2, 3]], [(2, 4), (2, 6)], [(2,)]),  # one bias per filter
+        ((4,), [[1, 2, 3]], [(2, 4)], [(2,)]),           # table is not rows
     ])
-    def test_unfold_rejects_bad_order_or_shape(self, shape, order):
-        with pytest.raises(ShapeError, match="unfold"):
-            unfold(_leaf(Graph(), np.ones(shape)), order)
+    def test_pool_windows_rejects_bad_shapes(self, table_shape, ids, filter_shapes,
+                                             bias_shapes):
+        g = Graph()
+        with pytest.raises(ShapeError, match="pool_windows"):
+            pool_windows(_leaf(g, np.ones(table_shape)), ids,
+                         [_leaf(g, np.ones(s)) for s in filter_shapes],
+                         [_leaf(g, np.ones(s)) for s in bias_shapes])
 
     @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
         ((2, 3), (4, 2), (4,)),     # inner widths differ
@@ -426,25 +459,40 @@ class TestFiniteDifferences:
             "b": rng.normal(size=3) * 0.5,
         }
 
+        weights = rng.normal(size=(3, 2))
+
         def build(graph, leaves):
             rows = gather_rows(leaves["table"], [0, 2, 2, 4])
             h = tanh_ew(linear(rows, leaves["w"]))
-            windows = tanh_ew(linear(unfold(h, 2), leaves["filter"], leaves["b"]))
-            flat = reshape(windows, (9,))
-            top = max_rows(transpose(h))
-            return mean_scalars([sum_all(mul(flat, flat)), cross_entropy(top, 1)])
+            pooled = pool_windows(h, [[1, 2, 3, -1], [3, 3, 1, 2]],
+                                  [leaves["filter"]], [leaves["b"]])
+            flat = reshape(pooled, (6,))
+            mixed = sum_all(mul(transpose(pooled), graph.tensor(weights)))
+            return mean_scalars([sum_all(mul(flat, flat)), mixed,
+                                 cross_entropy(linear(pooled, h), [1, 3])])
 
         assert finite_diff_check(build, params) < 1e-6
 
-    @pytest.mark.parametrize("rows,order", [(4, 1), (4, 2), (4, 4), (1, 1)])
-    def test_unfold_passes_finite_differences(self, rng, rows, order):
-        params = {"a": rng.normal(size=(rows, 3)),
-                  "c": rng.normal(size=(rows - order + 1, order * 3))}
+    @pytest.mark.parametrize("ids", [
+        [[1, 2, 3, 4, 5, 6, 1], [6, 5, 4, 3, 2, 1, 3]],
+        [[1, 2, 3, 4, 5, 6, 2], [3, 1, -1, -1, -1, -1, -1]],
+        [[4, -1, -1, -1, -1]],
+        [[1, 2, 3, 4, 5, -1], [6, 2, 5, 4, 3, 1]],
+        [[2, 2, 2, 1, 2, 2, 3], [5, 5, 5, 5, -1, -1, -1]],
+    ], ids=["unpadded", "padded", "one-token", "five-tokens", "repeated-tokens"])
+    def test_pool_windows_passes_finite_differences(self, rng, ids):
+        params = {"table": rng.normal(size=(7, 3)),
+                  "c": rng.normal(size=(4 * len(ids), 3))}
+        for n in (2, 3, 4, 5):
+            params[f"filter{n}"] = rng.normal(size=(3, 3 * n)) * 0.4
+            params[f"bias{n}"] = rng.normal(size=3) * 0.2
 
         def build(graph, leaves):
-            # A weighted sum of squares gives every output entry its own
-            # gradient, so a window routed to the wrong row shows up.
-            out = unfold(leaves["a"], order)
+            # A weighted sum of squares gives every pooled entry its own
+            # gradient, so a winner routed to the wrong slot or tap shows up.
+            out = pool_windows(leaves["table"], ids,
+                               [leaves[f"filter{n}"] for n in (2, 3, 4, 5)],
+                               [leaves[f"bias{n}"] for n in (2, 3, 4, 5)])
             return sum_all(mul(mul(out, out), leaves["c"]))
 
         assert finite_diff_check(build, params) < 1e-8
@@ -463,25 +511,25 @@ class TestFiniteDifferences:
         assert finite_diff_check(build, params) < 1e-6
 
     def test_batched_masked_ops_pass_finite_differences(self, rng):
-        # A padded batch of two "documents" of 4 and 2 rows through every
-        # op that takes a batch axis or a mask.
-        rows_valid = np.array([[True] * 4, [True, True, False, False]])
-        windows_valid = np.array([[True, True, True], [True, False, False]])
+        # A padded batch of two "documents" of 4 and 2 tokens through every
+        # op that takes a batch axis, a mask or padded ids; row 0 is the pad
+        # row.
+        ids = np.array([[1, 2, 2, 4], [3, 1, -1, -1]])
         params = {
             "table": rng.normal(size=(5, 3)),
             "w": rng.normal(size=(3, 3)) * 0.5,
             "b": rng.normal(size=3) * 0.5,
             "filter": rng.normal(size=(3, 6)) * 0.5,
+            "filter_bias": rng.normal(size=3) * 0.5,
             "score": rng.normal(size=3),
             "out": rng.normal(size=(3, 6)) * 0.5,
         }
 
         def build(graph, leaves):
-            rows = gather_rows(leaves["table"], [[0, 2, 2, 4], [1, 3, 0, 0]])
-            h = tanh_ew(linear(rows, leaves["w"], leaves["b"]))
-            pooled = max_rows(tanh_ew(linear(unfold(h, 2), leaves["filter"])),
-                              windows_valid)
-            weights = softmax_vec(matvec(h, leaves["score"]), rows_valid)
+            token_rows = tanh_ew(linear(leaves["table"], leaves["w"], leaves["b"]))
+            pooled = pool_windows(token_rows, ids, [leaves["filter"]], [leaves["filter_bias"]])
+            h = gather_rows(token_rows, np.maximum(ids, 0))
+            weights = softmax_vec(matvec(h, leaves["score"]), ids >= 0)
             selected = matvec(transpose(h), weights)
             joined = concat_rows([pooled, selected], axis=-1)
             return cross_entropy(linear(joined, leaves["out"]), [2, 0])

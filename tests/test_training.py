@@ -322,7 +322,7 @@ class TestTrainEpoch:
         # tokens, then the pooled n-gram rows) through one row index, so no
         # reshaped copy of the pooled rows is recorded; the dropout mask
         # needs no gradient and stays off the tape. 22 leaves: one per
-        # parameter.
+        # parameter; one pool_windows node makes every pooled n-gram row.
         train, _, _ = tiny_corpus
         ops = []
         backward = Graph.backward
@@ -337,7 +337,7 @@ class TestTrainEpoch:
         train_epoch(model, train[:config.batch_size], config, RngStreams.from_seed(0),
                     AdadeltaState.for_params(model.params))
         assert ops == [Counter(
-            leaf=22, gather_rows=6, linear=11, tanh_ew=10, unfold=4, max_rows=4,
+            leaf=22, gather_rows=5, linear=7, tanh_ew=6, pool_windows=1,
             concat_rows=3, transpose=2, matvec=6, softmax_vec=3, mul=1,
             cross_entropy=1)]
 
