@@ -32,6 +32,7 @@ __all__ = [
     "tanh_ew",
     "softmax_vec",
     "concat_rows",
+    "unfold",
     "linear",
     "reshape",
     "transpose",
@@ -292,6 +293,29 @@ def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             _accum(p, grad[lead + (slice(lo, hi),)])
 
     return graph._record("concat_rows", out, tuple(parts), push, copied=True)
+
+
+def unfold(a: Tensor, order: int) -> Tensor:
+    """Every window of ``order`` consecutive rows, flattened: (..., rows, d) ->
+    (..., rows - order + 1, order * d); window p is rows p..p+order-1 end to
+    end, taken separately under each leading batch index."""
+    if a.ndim < 2:
+        raise ShapeError("unfold", f"expected a matrix, got {a.shape}")
+    rows, width = a.shape[-2:]
+    if not 1 <= order <= rows:
+        raise ShapeError("unfold", f"order {order} invalid for {rows} rows")
+    count = rows - order + 1
+    # Window p chains rows p, p+1, ..., so the k-th row block of every
+    # window is the matrix shifted up by k rows.
+    out = np.concatenate([a.value[..., k:k + count, :] for k in range(order)], axis=-1)
+
+    def push(grad):
+        full = np.zeros_like(a.value)
+        for k in range(order):
+            full[..., k:k + count, :] += grad[..., k * width:(k + 1) * width]
+        _accum(a, full, own=True)
+
+    return a.graph._record("unfold", out, (a,), push, copied=True)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -31,6 +31,7 @@ from mvnet.numeric import (
     sum_all,
     tanh_ew,
     transpose,
+    unfold,
 )
 
 def _leaf(graph, array):
@@ -61,6 +62,15 @@ class TestForwardOracles:
         g = Graph()
         out = matvec(_leaf(g, a), _leaf(g, x))
         np.testing.assert_allclose(out.value, expected, rtol=0, atol=1e-14)
+
+    def test_unfold_matches_window_loop(self, rng):
+        a = rng.normal(size=(5, 3))
+        expected = np.array([np.concatenate([a[p + k] for k in range(3)])
+                             for p in range(5 - 3 + 1)])
+        g = Graph()
+        out = unfold(_leaf(g, a), 3)
+        assert out.shape == (3, 9)
+        np.testing.assert_array_equal(out.value, expected)
 
     def test_pool_windows_matches_window_loop(self, rng):
         # Orders 1 and 3 over a padded batch; the 2-token text is shorter
@@ -172,6 +182,15 @@ class TestBackwardOracles:
         np.testing.assert_allclose(table.grad, [[0.0], [slope], [0.0], [0.0]], rtol=1e-15)
         np.testing.assert_allclose(weight.grad, [[0.5 * slope]], rtol=1e-15)
         np.testing.assert_allclose(bias.grad, [slope], rtol=1e-15)
+
+    def test_unfold_routes_gradient_to_every_window(self):
+        # Order-2 windows of 4 rows: the end rows sit in one window each,
+        # the middle rows in two.
+        g = Graph()
+        a = _leaf(g, np.arange(8.0).reshape(4, 2))
+        g.backward(sum_all(unfold(a, 2)))
+        np.testing.assert_array_equal(
+            a.grad, [[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
 
     def test_unreached_leaf_gets_zero_gradient(self):
         g = Graph()
@@ -304,6 +323,13 @@ class TestBatchesAndMasks:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("shape,order", [
+        ((3, 2), 0), ((3, 2), 4), ((6,), 2), ((), 1),
+    ])
+    def test_unfold_rejects_bad_order_or_shape(self, shape, order):
+        with pytest.raises(ShapeError, match="unfold"):
+            unfold(_leaf(Graph(), np.ones(shape)), order)
+
     @pytest.mark.parametrize("table_shape,ids,filter_shapes,bias_shapes", [
         ((4, 2), [1, 2, 3], [(2, 4)], [(2,)]),           # ids are not (B, T)
         ((4, 2), [[1, 2]], [(2, 6)], [(2,)]),            # fewer positions than the window
@@ -493,6 +519,19 @@ class TestFiniteDifferences:
             out = pool_windows(leaves["table"], ids,
                                [leaves[f"filter{n}"] for n in (2, 3, 4, 5)],
                                [leaves[f"bias{n}"] for n in (2, 3, 4, 5)])
+            return sum_all(mul(mul(out, out), leaves["c"]))
+
+        assert finite_diff_check(build, params) < 1e-8
+
+    @pytest.mark.parametrize("rows,order", [(4, 1), (4, 2), (4, 4), (1, 1)])
+    def test_unfold_passes_finite_differences(self, rng, rows, order):
+        params = {"a": rng.normal(size=(rows, 3)),
+                  "c": rng.normal(size=(rows - order + 1, order * 3))}
+
+        def build(graph, leaves):
+            # A weighted sum of squares gives every output entry its own
+            # gradient, so a window routed to the wrong row shows up.
+            out = unfold(leaves["a"], order)
             return sum_all(mul(mul(out, out), leaves["c"]))
 
         assert finite_diff_check(build, params) < 1e-8
