@@ -39,6 +39,7 @@ from .features import (  # noqa: F401
 from .numeric import (
     Graph,
     Tensor,
+    attend_heads,
     concat_rows,
     gather_rows,
     linear,
@@ -48,7 +49,7 @@ from .numeric import (
     reshape,
     softmax_vec,
     tanh_ew,
-    transpose,
+    unstack,
 )
 
 
@@ -63,6 +64,10 @@ class ViewBundle:
     attention: list[Tensor]
 
 
+# attention_scores, attention_weights and select are one head's steps of
+# numeric.attend_heads, run per head. forward_batch calls that one node
+# instead; these stay as the reference the tests check it against, and
+# because the traced benchmark run (perfbench/layers.py) wraps them by name.
 def attention_scores(feature_rows: Tensor, row_transform: Tensor,
                      score_vector: Tensor) -> Tensor:
     """One raw score per feature row: score_vector . tanh(row_transform @ row)."""
@@ -264,7 +269,8 @@ class MvnModel:
         views, classify.
 
         Returns the (B, classes) logits and the per-view selections (B, d),
-        views (B, d) and attention weights (B, R) over the R feature rows.
+        views (B, d) and attention weights (B, R) over the R feature rows,
+        the weights as tensors that carry no gradient.
         A given (B, V * d) dropout mask is applied, so the caller owns all
         randomness. ``bound`` is a :meth:`bind` leaf map.
         """
@@ -275,8 +281,10 @@ class MvnModel:
             raise ValueError("forward: document has no tokens")
         if bound is None:
             bound = self.bind(graph)
-        # Every text fills at least the widest n-gram window.
-        width = max(max(lengths), max(NGRAM_ORDERS))
+        # With n-gram rows on, every text fills at least the widest window.
+        width = max(lengths)
+        if self.config.conv_features:
+            width = max(width, max(NGRAM_ORDERS))
         # One slot per distinct id, <pad> first: each is projected once, then
         # gathered per token (the row-wise projection gives the same values).
         slots = {self.vocab.pad_index: 0}
@@ -289,8 +297,8 @@ class MvnModel:
                              bound["projection.weight"], bound["projection.bias"])
         # One table of distinct feature rows, addressed per document and
         # position by ``row_index``. A row's attention score depends on the
-        # row alone, so each head scores the table once and gathers its
-        # scores; the rows the heads mix are gathered the same way.
+        # row alone, so one node scores the table once for all heads and
+        # mixes each document's rows through the index.
         table, row_index = token_rows, ids
         if self.config.conv_features:
             # Document b's pooled row of the k-th order is table row
@@ -301,19 +309,16 @@ class MvnModel:
                                    + batch * np.arange(len(NGRAM_ORDERS))])
         # Past its end a document reads the <pad> row, masked out of attention.
         valid = row_index >= 0 if min(lengths) < width else None
-        row_index = np.maximum(row_index, 0)
-        columns = transpose(gather_rows(table, row_index))
-        selections = []
-        weights = []
-        for i in range(1, self.config.views + 1):
-            head = (bound[f"head{i}.row_transform"], bound[f"head{i}.score_vector"])
-            scores = gather_rows(attention_scores(table, *head), row_index)
-            w = attention_weights(scores, valid)
-            weights.append(w)
-            selections.append(select(w, columns))
+        heads = range(1, self.config.views + 1)
+        attended, weights = attend_heads(
+            table, np.maximum(row_index, 0), valid,
+            [bound[f"head{i}.row_transform"] for i in heads],
+            [bound[f"head{i}.score_vector"] for i in heads])
+        selections = unstack(attended)
         views = compose_views(selections, bound, self.config.variant)
         return classify(views, bound, dropout_mask), ViewBundle(
-            selections=selections, views=views, attention=weights)
+            selections=selections, views=views,
+            attention=[graph.parameter(w) for w in weights])
 
     def forward(self, graph: Graph, doc: LabeledDocument, mode: str = "eval",
                 dropout_mask: np.ndarray | None = None,
@@ -328,16 +333,12 @@ class MvnModel:
         if mode == "train" and dropout_mask is not None:
             mask = np.reshape(dropout_mask, (1, -1))
         logits, bundle = self.forward_batch(graph, [doc], mask, bound)
-        # Feature rows are the token rows, padding up to the widest window,
-        # then the pooled rows; the padding is dropped from the weights.
-        length = len(doc.tokens)
-        padding = max(NGRAM_ORDERS) - length
-        attention = []
-        for w in bundle.attention:
-            flat = reshape(w, w.shape[1:])
-            if padding > 0:
-                flat = gather_rows(flat, np.r_[:length, length + padding:flat.shape[0]])
-            attention.append(flat)
+        # A text shorter than the widest n-gram window is padded before its
+        # pooled rows; the weights keep the text's own rows only.
+        pooled = len(NGRAM_ORDERS) if self.config.conv_features else 0
+        attention = [graph.parameter(np.delete(w.value[0],
+                                               np.s_[len(doc.tokens):w.shape[1] - pooled]))
+                     for w in bundle.attention]
         return reshape(logits, logits.shape[1:]), ViewBundle(
             selections=[reshape(s, s.shape[1:]) for s in bundle.selections],
             views=[reshape(v, v.shape[1:]) for v in bundle.views],

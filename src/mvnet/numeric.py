@@ -8,9 +8,10 @@ runs bit-identical. A tensor that needs no gradient stays off the tape and
 is freed as soon as nothing uses it.
 
 The structural ops accept leading batch axes, so one graph can carry a whole
-mini-batch of padded documents: ``softmax_vec`` takes a validity mask and
-``pool_windows`` reads each text's length from its row ids, so padding stays
-out of the result without ever recording an infinite value.
+mini-batch of padded documents: ``softmax_vec`` and ``attend_heads`` take a
+validity mask and ``pool_windows`` reads each text's length from its row
+ids, so padding stays out of the result without ever recording an infinite
+value.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "transpose",
     "gather_rows",
     "pool_windows",
+    "attend_heads",
+    "unstack",
     "cross_entropy",
     "sum_all",
     "mean_scalars",
@@ -481,6 +484,99 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
             _accum(f, dfilters[start * width:(start + n) * width].reshape(width, -1), own=True)
 
     return graph._record("pool_windows", out, inputs, push)
+
+
+def attend_heads(table: Tensor, row_index, valid: np.ndarray | None,
+                 transforms: Sequence[Tensor],
+                 score_vectors: Sequence[Tensor]) -> tuple[Tensor, np.ndarray]:
+    """V soft-attention selections over the rows of ``table`` in one node.
+
+    ``row_index`` (B, R) holds each text's rows of ``table`` (U, d);
+    ``valid``, boolean (B, R) or None for all valid, marks the entries that
+    take part, at least one per text. Head v scores a row as
+    score_vectors[v] . tanh(transforms[v] @ row), transforms (a, d) and score
+    vectors (a,); its weights are the softmax of a text's valid scores (the
+    others get weight exactly 0), its selection the weighted sum of the rows.
+
+    Returns the (V, B, d) selections and the (V, B, R) weights, a plain array
+    without gradient. One (V * a, d) product of the stacked transforms scores
+    each table row once for all heads, and the rows are mixed through the
+    (V * B, U) matrix of each text's weights per row, which backward reuses;
+    backward sums repeated rows' score gradients with one ``np.bincount``.
+    """
+    inputs = (table, *transforms, *score_vectors)
+    graph = _graph_of("attend_heads", *inputs)
+    idx = np.asarray(row_index, dtype=np.intp)
+    rows, width = table.shape if table.ndim == 2 else (0, 0)
+    heads = len(transforms)
+    size = transforms[0].shape[0] if heads and transforms[0].ndim == 2 else 0
+    # The index check is one pass: a negative index reads as a huge unsigned one.
+    if (not heads or len(score_vectors) != heads or not rows or idx.ndim != 2 or not idx.size
+            or any(t.shape != (size, width) for t in transforms)
+            or any(s.shape != (size,) for s in score_vectors)
+            or idx.view(np.uintp).max() >= rows):
+        raise ShapeError("attend_heads", f"transforms and score vectors must fit table"
+                                         f" {table.shape}, and row index {idx.shape}"
+                                         f" must be rows of it")
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != idx.shape or not valid.any(axis=1).all():
+            raise ShapeError("attend_heads", f"mask {valid.shape} does not leave a valid"
+                                             f" entry in every row of {idx.shape}")
+    batch = idx.shape[0]
+    stacked = np.concatenate([t.value for t in transforms])
+    hidden = table.value @ stacked.T
+    require_finite("attend_heads", hidden)
+    np.tanh(hidden, out=hidden)
+    # (U, V * a) viewed per head: scores[v, u] = score_vectors[v] . hidden[u, v].
+    per_head = hidden.reshape(rows, heads, size)
+    score_rows = np.stack([s.value for s in score_vectors])
+    scores = np.einsum("uva,va->vu", per_head, score_rows)
+    weights = scores[:, idx]
+    if valid is not None:
+        weights[:, ~valid] = -np.inf  # exp sends them to 0
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    # Entry (v * B + b, u) sums head v's weights on text b's entries of row u.
+    slot = idx + rows * np.arange(heads * batch).reshape(heads, batch, 1)
+    mix = np.bincount(slot.reshape(-1), weights.reshape(-1),
+                      minlength=heads * batch * rows).reshape(heads * batch, rows)
+    out = (mix @ table.value).reshape(heads, batch, width)
+
+    def push(grad):
+        flat = grad.reshape(-1, width)
+        # A weight's gradient is its selection's gradient . its row.
+        dweights = (flat @ table.value.T).reshape(-1)[slot]
+        dentries = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+        # Entry (v, u) sums head v's score gradients on every entry of row u.
+        dscores = np.bincount((idx + rows * np.arange(heads)[:, None, None]).reshape(-1),
+                              dentries.reshape(-1), minlength=heads * rows).reshape(heads, rows)
+        for s, part in zip(score_vectors, np.einsum("vu,uva->va", dscores, per_head)):
+            _accum(s, part, own=True)
+        dz = (dscores.T[:, :, None] * score_rows * (1.0 - per_head * per_head)).reshape(rows, -1)
+        _accum(table, mix.T @ flat + dz @ stacked, own=True)
+        for t, part in zip(transforms, (dz.T @ table.value).reshape(heads, size, width)):
+            _accum(t, part, own=True)
+
+    return graph._record("attend_heads", out, inputs, push), weights
+
+
+def unstack(a: Tensor) -> list[Tensor]:
+    """The blocks a[0], a[1], ... of the leading axis, one node each; their
+    values are views of ``a``'s."""
+    if a.ndim < 1:
+        raise ShapeError("unstack", f"expected a leading axis, got {a.shape}")
+
+    def part(k):
+        def push(grad):
+            if a.grad is None:
+                a.grad = np.zeros_like(a.value)
+            a.grad[k] += grad
+
+        return a.graph._record("unstack", a.value[k], (a,), push, copied=True)
+
+    return [part(k) for k in range(a.shape[0])]
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -39,6 +39,7 @@ from mvnet.model import (
 from mvnet.numeric import (
     Graph,
     NumericError,
+    attend_heads,
     concat_rows,
     cross_entropy,
     finite_diff_check,
@@ -366,9 +367,10 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_each_distinct_token_is_projected_once(self, monkeypatch, conv):
-        # Projection and attention scores run once per distinct row and are
-        # gathered per position; logits and gradients must match a reference
-        # that projects and scores every padded position on its own.
+        # Projection and attention scores run once per distinct row, the
+        # scores of all heads in one node, and are gathered per position;
+        # logits and gradients must match a reference that projects and
+        # scores every padded position on its own, one head at a time.
         token_lists = [["alpha", "beta", "alpha"],
                        ["beta", "beta", "zzz", "qqq", "alpha", "gamma", "beta"],
                        ["gamma"]]
@@ -382,12 +384,12 @@ class TestBatchedForward:
             projected.append(rows.shape[0])
             return project(rows, *params)
 
-        def recording_scores(rows, *params):
-            scored.append(rows.shape[0])
-            return attention_scores(rows, *params)
+        def recording_attend(table, row_index, valid, transforms, score_vectors):
+            scored.append((table.shape[0], len(transforms)))
+            return attend_heads(table, row_index, valid, transforms, score_vectors)
 
         monkeypatch.setattr(model_module, "project", recording_project)
-        monkeypatch.setattr(model_module, "attention_scores", recording_scores)
+        monkeypatch.setattr(model_module, "attend_heads", recording_attend)
         for variant in VARIANTS:
             projected.clear()
             scored.clear()
@@ -397,11 +399,12 @@ class TestBatchedForward:
             bound = model.bind(graph)
             logits, _ = model.forward_batch(graph, docs, bound=bound)
             graph.backward(cross_entropy(logits, labels))
-            # alpha, beta, gamma, <unk> (zzz and qqq) and <pad>; each of the 4
-            # heads also scores one pooled row per n-gram order and document.
+            # alpha, beta, gamma, <unk> (zzz and qqq) and <pad>, plus one
+            # pooled row per n-gram order and document, scored once for all
+            # 4 heads.
             assert projected == [5]
             pooled = len(NGRAM_ORDERS) * len(docs) if conv else 0
-            assert scored == [5 + pooled] * 4
+            assert scored == [(5 + pooled, 4)]
 
             ref_graph = Graph()
             ref = model.bind(ref_graph)
@@ -439,6 +442,33 @@ class TestBatchedForward:
             for name, leaf in bound.items():
                 np.testing.assert_allclose(leaf.grad, ref[name].grad, rtol=1e-12,
                                            atol=1e-18, err_msg=f"{variant} {name}")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_token_texts_without_ngrams_attend_one_row(self, variant):
+        # Without n-gram rows nothing pads a batch of 1-token texts: every
+        # head gives weight exactly 1 to the text's one row, so each
+        # selection is that projected row bit for bit, as it was when four
+        # masked pad rows took weight exactly 0.
+        model = make_model(conv_features=False, variant=variant)
+        docs = [make_doc(1), LabeledDocument(label=1, tokens=["gamma"], raw=""),
+                LabeledDocument(label=0, tokens=["unseen"], raw="")]
+        graph = Graph()
+        bound = model.bind(graph)
+        logits, bundle = model.forward_batch(graph, docs, bound=bound)
+        for weights in bundle.attention:
+            assert weights.shape == (len(docs), 1)
+            assert (weights.value == 1.0).all()
+        ref = Graph()
+        leaves = model.bind(ref, requires_grad=False)
+        # The same distinct rows as the batch's table, <pad> first.
+        table = project(gather_rows(leaves["embedding"],
+                                    [model.vocab.pad_index] + [model.vocab.lookup(doc.tokens[0])
+                                                               for doc in docs]),
+                        leaves["projection.weight"], leaves["projection.bias"])
+        rows = gather_rows(table, [1, 2, 3])
+        expected = classify(compose_views([rows] * model.config.views, leaves, variant),
+                            leaves)
+        assert logits.value.tobytes() == expected.value.tobytes()
 
     @pytest.mark.parametrize("conv", [False, True])
     def test_every_leaf_gradient_is_c_contiguous(self, conv):

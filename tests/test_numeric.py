@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvnet.model import attention_scores, attention_weights, select
 from mvnet.numeric import (
     Graph,
     NumericError,
     ShapeError,
+    attend_heads,
     concat_rows,
     cross_entropy,
     finite_diff_check,
@@ -32,6 +34,7 @@ from mvnet.numeric import (
     tanh_ew,
     transpose,
     unfold,
+    unstack,
 )
 
 def _leaf(graph, array):
@@ -52,6 +55,22 @@ def _window_pool_loop(table, ids, filters, biases):
                          for p in range(max(length - n, 0) + 1)]
             out.append(np.max(responses, axis=0))
     return np.array(out)
+
+
+def _attention_leaves(graph, rng, rows, width, heads, size=3):
+    """A (rows, width) table and ``heads`` transforms and score vectors."""
+    return (_leaf(graph, rng.normal(size=(rows, width))),
+            [_leaf(graph, rng.normal(size=(size, width)) * 0.6) for _ in range(heads)],
+            [_leaf(graph, rng.normal(size=size)) for _ in range(heads)])
+
+
+# Each text's rows of a 5-row table: unpadded, padded (False past a text's
+# end, where it reads row 0) and with a row repeated within and across texts.
+ATTENTION_BATCHES = {
+    "unpadded": ([[1, 2, 3], [4, 0, 2]], None),
+    "padded": ([[1, 2, 3, 4], [3, 1, 0, 0]], [[True] * 4, [True, True, False, False]]),
+    "repeated": ([[2, 2, 1, 2], [2, 4, 4, 0]], [[True] * 4, [True, True, True, False]]),
+}
 
 
 class TestForwardOracles:
@@ -322,6 +341,84 @@ class TestBatchesAndMasks:
         np.testing.assert_array_equal(out.value, [[1, 1, 1, 0], [1, 1, 1, 0]])
 
 
+class TestAttendHeads:
+    @pytest.mark.parametrize("batch", ATTENTION_BATCHES)
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_matches_the_per_head_chain(self, rng, batch, heads):
+        # The model's per-head steps, one node each: score the table, gather
+        # the scores per entry, softmax over each text's valid entries, mix
+        # the gathered rows.
+        ids, valid = (None if v is None else np.array(v) for v in ATTENTION_BATCHES[batch])
+        c = rng.normal(size=(heads, len(ids), 4))
+        fused, chain = Graph(), Graph()
+        seed = int(rng.integers(1 << 30))
+        table, transforms, scores = _attention_leaves(fused, np.random.default_rng(seed), 5, 4,
+                                                      heads)
+        ref_table, ref_transforms, ref_scores = _attention_leaves(
+            chain, np.random.default_rng(seed), 5, 4, heads)
+        out, weights = attend_heads(table, ids, valid, transforms, scores)
+        fused.backward(sum_all(mul(out, fused.tensor(c))))
+
+        columns = transpose(gather_rows(ref_table, ids))
+        ref_weights = [attention_weights(gather_rows(attention_scores(ref_table, t, s), ids),
+                                         valid) for t, s in zip(ref_transforms, ref_scores)]
+        selections = concat_rows([select(w, columns) for w in ref_weights])
+        chain.backward(sum_all(mul(selections, chain.tensor(c.reshape(-1, 4)))))
+
+        np.testing.assert_allclose(out.value.reshape(-1, 4), selections.value,
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(weights, [w.value for w in ref_weights],
+                                   rtol=1e-13, atol=1e-13)
+        for leaf, ref in zip([table, *transforms, *scores],
+                             [ref_table, *ref_transforms, *ref_scores]):
+            np.testing.assert_allclose(leaf.grad, ref.grad, rtol=1e-13, atol=1e-13)
+
+    def test_masked_entries_get_weight_exactly_zero(self, rng):
+        g = Graph()
+        table, transforms, scores = _attention_leaves(g, rng, 4, 3, 2)
+        ids = np.array([[1, 2, 3, 2], [3, 1, 2, 0]])
+        valid = np.array([[False, True, False, False], [True, True, True, False]])
+        out, weights = attend_heads(table, ids, valid, transforms, scores)
+        assert (weights[:, 0] == [0.0, 1.0, 0.0, 0.0]).all()
+        assert (weights[:, 1, 3] == 0.0).all()
+        # Weight 1 on one row and 0 elsewhere select that row bit for bit.
+        for selection in out.value[:, 0]:
+            assert selection.tobytes() == table.value[2].tobytes()
+
+    def test_unstack_hands_each_block_its_gradient(self, rng):
+        g = Graph()
+        a = _leaf(g, rng.normal(size=(3, 2, 4)))
+        parts = unstack(a)
+        assert [p.shape for p in parts] == [(2, 4)] * 3
+        # The last block is left out of the loss, so it gets a zero gradient.
+        g.backward(sum_all(mul(concat_rows(parts[:2]), g.tensor(np.arange(16.0).reshape(4, 4)))))
+        np.testing.assert_array_equal(a.grad, np.r_[np.arange(16.0), np.zeros(8)].reshape(3, 2, 4))
+
+    @pytest.mark.parametrize("table_shape,ids,valid,transform_shapes,score_shapes", [
+        ((4,), [[0, 1]], None, [(3, 4)], [(3,)]),                # table is not a matrix
+        ((4, 2), [[0, 1]], None, [(3, 4)], [(3,)]),              # transform width differs
+        ((4, 2), [[0, 1]], None, [(3, 2), (2, 2)], [(3,), (2,)]),  # head sizes differ
+        ((4, 2), [[0, 1]], None, [(3, 2)], [(2,)]),              # score vector length differs
+        ((4, 2), [[0, 1]], None, [(3, 2), (3, 2)], [(3,)]),      # one score vector short
+        ((4, 2), [[0, 1]], None, [], []),                        # no heads
+        ((4, 2), [[0, 4]], None, [(3, 2)], [(3,)]),              # index past the table
+        ((4, 2), [[0, -1]], None, [(3, 2)], [(3,)]),             # negative index
+        ((4, 2), [0, 1], None, [(3, 2)], [(3,)]),                # index is not (B, R)
+        ((4, 2), np.zeros((1, 0)), None, [(3, 2)], [(3,)]),      # no entries
+        ((4, 2), [[0, 1]], [[True]], [(3, 2)], [(3,)]),          # mask shape differs
+        ((4, 2), [[0, 1], [2, 3]], [[True, False], [False, False]],
+         [(3, 2)], [(3,)]),                                      # a row with no valid entry
+    ])
+    def test_rejects_bad_shapes(self, table_shape, ids, valid, transform_shapes,
+                                score_shapes):
+        g = Graph()
+        with pytest.raises(ShapeError, match="attend_heads"):
+            attend_heads(_leaf(g, np.ones(table_shape)), ids,
+                         None if valid is None else np.array(valid),
+                         [_leaf(g, np.ones(s)) for s in transform_shapes],
+                         [_leaf(g, np.ones(s)) for s in score_shapes])
+
+
 class TestErrors:
     @pytest.mark.parametrize("shape,order", [
         ((3, 2), 0), ((3, 2), 4), ((6,), 2), ((), 1),
@@ -548,6 +645,27 @@ class TestFiniteDifferences:
             return sum_all(tanh_ew(linear(leaves["x"], leaves["w"], leaves.get("b"))))
 
         assert finite_diff_check(build, params) < 1e-6
+
+    @pytest.mark.parametrize("batch", ATTENTION_BATCHES)
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_attend_heads_passes_finite_differences(self, rng, batch, heads):
+        ids, valid = (None if v is None else np.array(v) for v in ATTENTION_BATCHES[batch])
+        params = {"table": rng.normal(size=(5, 4)),
+                  "c": rng.normal(size=(len(ids), heads * 4))}
+        for i in range(heads):
+            params[f"transform{i}"] = rng.normal(size=(3, 4)) * 0.6
+            params[f"score{i}"] = rng.normal(size=3)
+
+        def build(graph, leaves):
+            # A weighted sum of squares of the unstacked selections gives
+            # every selected entry its own gradient.
+            out, _ = attend_heads(leaves["table"], ids, valid,
+                                  [leaves[f"transform{i}"] for i in range(heads)],
+                                  [leaves[f"score{i}"] for i in range(heads)])
+            joined = concat_rows(unstack(out), axis=-1)
+            return sum_all(mul(mul(joined, joined), leaves["c"]))
+
+        assert finite_diff_check(build, params) < 1e-8
 
     def test_batched_masked_ops_pass_finite_differences(self, rng):
         # A padded batch of two "documents" of 4 and 2 tokens through every

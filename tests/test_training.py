@@ -318,11 +318,12 @@ class TestTrainEpoch:
 
     def test_ngram_batch_tape_holds_one_feature_table(self, tiny_corpus, tiny_config,
                                                       monkeypatch):
-        # The heads score and mix one table of distinct rows (projected
-        # tokens, then the pooled n-gram rows) through one row index, so no
-        # reshaped copy of the pooled rows is recorded; the dropout mask
-        # needs no gradient and stays off the tape. 22 leaves: one per
-        # parameter; one pool_windows node makes every pooled n-gram row.
+        # One attend_heads node scores and mixes one table of distinct rows
+        # (projected tokens, then the pooled n-gram rows) for all 3 heads
+        # through one row index, and one unstack node per head hands out its
+        # selection; the dropout mask needs no gradient and stays off the
+        # tape. 22 leaves: one per parameter; one pool_windows node makes
+        # every pooled n-gram row.
         train, _, _ = tiny_corpus
         ops = []
         backward = Graph.backward
@@ -337,9 +338,33 @@ class TestTrainEpoch:
         train_epoch(model, train[:config.batch_size], config, RngStreams.from_seed(0),
                     AdadeltaState.for_params(model.params))
         assert ops == [Counter(
-            leaf=22, gather_rows=5, linear=7, tanh_ew=6, pool_windows=1,
-            concat_rows=3, transpose=2, matvec=6, softmax_vec=3, mul=1,
+            leaf=22, gather_rows=1, linear=4, tanh_ew=3, pool_windows=1,
+            concat_rows=3, transpose=1, attend_heads=1, unstack=3, mul=1,
             cross_entropy=1)]
+
+    def test_wide_batch_tape_holds_one_attention_node(self, tiny_corpus, monkeypatch):
+        # The wide-noconv shape (8 views, full links, no n-gram rows, the
+        # hidden classifier layer, dropout) at small widths: 29 leaves and
+        # 37 other nodes, of which one attend_heads node serves all 8 heads
+        # and one unstack node per head hands out its selection.
+        train, _, _ = tiny_corpus
+        ops = []
+        backward = Graph.backward
+
+        def counting(graph, loss):
+            ops.append(Counter(node.op for node in graph.nodes))
+            return backward(graph, loss)
+
+        monkeypatch.setattr(Graph, "backward", counting)
+        config = TrainConfig(views=8, view_dim=4, embed_dim=6, batch_size=23, dropout=0.2,
+                             conv_features=False, variant="full", seed=3)
+        model = build_model(config, train)
+        train_epoch(model, train[:config.batch_size], config, RngStreams.from_seed(0),
+                    AdadeltaState.for_params(model.params))
+        assert ops == [Counter(
+            leaf=29, gather_rows=1, transpose=1, linear=9, tanh_ew=8, attend_heads=1,
+            unstack=8, concat_rows=7, mul=1, cross_entropy=1)]
+        assert sum(ops[0].values()) - ops[0]["leaf"] == 37
 
     def test_numeric_error_names_the_batch(self, tiny_corpus, tiny_config):
         train, _, _ = tiny_corpus
