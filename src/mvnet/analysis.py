@@ -35,7 +35,7 @@ class ViewDataset:
 
 def extract_view_representations(model: MvnModel, dataset) -> ViewDataset:
     """Eval-mode view vectors for every document, in dataset order, from
-    forward passes in batches of ``config.batch_size``."""
+    the forward passes of :meth:`MvnModel.eval_batches`."""
     if not dataset:
         raise ValueError("extract_view_representations: empty dataset")
     vectors = np.empty((len(dataset), model.config.views, model.config.view_dim))

@@ -287,10 +287,13 @@ class MvnModel:
             width = max(width, max(NGRAM_ORDERS))
         # One slot per distinct id, <pad> first: each is projected once, then
         # gathered per token (the row-wise projection gives the same values).
+        # The map's own get, bound once, is Vocabulary.lookup without a call
+        # per token.
         slots = {self.vocab.pad_index: 0}
+        token_id, unknown = self.vocab.index.get, self.vocab.unk_index
         ids = np.full((len(docs), width), -1, dtype=np.intp)
         for row, doc in zip(ids, docs):
-            row[:len(doc.tokens)] = [slots.setdefault(self.vocab.lookup(t), len(slots))
+            row[:len(doc.tokens)] = [slots.setdefault(token_id(t, unknown), len(slots))
                                      for t in doc.tokens]
         distinct = np.fromiter(slots, dtype=np.intp, count=len(slots))
         token_rows = project(gather_rows(bound["embedding"], distinct),
@@ -350,15 +353,23 @@ class MvnModel:
         return int(np.argmax(logits.value[0]))
 
     def eval_batches(self, docs):
-        """Eval-mode :meth:`forward_batch` over ``docs`` in batches of
-        ``config.batch_size``, shortest documents first (a stable sort), so a
-        batch pads little. Yields each batch's positions in ``docs``, documents,
-        logits and views. A graph bound without gradients records no nodes,
-        so a batch's tensors are freed once the caller lets go of them."""
-        size = self.config.batch_size
+        """Eval-mode :meth:`forward_batch` over ``docs``, shortest documents
+        first (a stable sort), so a batch pads little. The n documents are cut
+        into ``max(1, n // config.batch_size)`` consecutive batches whose sizes
+        differ by at most one: a batch's cost is mostly its fixed pass over the
+        weights, so no batch is a runt under ``batch_size`` unless the whole
+        call is, and none holds more than ``2 * batch_size - 1``. Yields each
+        batch's positions in ``docs``, documents, logits and views. A graph
+        bound without gradients records no nodes, so a batch's tensors are
+        freed once the caller lets go of them."""
+        if not docs:
+            return
         order = sorted(range(len(docs)), key=lambda i: len(docs[i].tokens))
-        for start in range(0, len(order), size):
-            positions = order[start:start + size]
+        count = max(1, len(order) // self.config.batch_size)
+        size, extra = divmod(len(order), count)
+        for k in range(count):
+            start = k * size + min(k, extra)
+            positions = order[start:start + size + (k < extra)]
             batch = [docs[i] for i in positions]
             graph = Graph()
             logits, bundle = self.forward_batch(

@@ -47,9 +47,10 @@ def adadelta_step(params, grads, state: AdadeltaState, lr_scale: float,
 
     It runs over blocks of ``ADADELTA_BLOCK`` elements in the state's scratch,
     rounding in the order written, so it allocates no parameter-sized array
-    and matches the whole-array expression bit for bit. Parameters must be
-    C-contiguous: they are updated through flat views. A NaN or infinite
-    value in an updated block raises ``NumericError`` naming the parameter.
+    and matches the whole-array expression bit for bit. An array of at most
+    one block is its own block; a larger one is cut through flat views, so
+    parameters must be C-contiguous. A NaN or infinite value in an updated
+    block raises ``NumericError`` naming the parameter.
     """
     for name, x in params.items():
         g = grads[name]
@@ -58,10 +59,13 @@ def adadelta_step(params, grads, state: AdadeltaState, lr_scale: float,
                              f"match parameter shape {x.shape} for {name!r}")
         if not x.flags.c_contiguous:
             raise ValueError(f"adadelta_step: parameter {name!r} is not contiguous")
-        flats = [v.reshape(-1) for v in (x, g, state.sq_grad[name], state.sq_update[name])]
-        for start in range(0, x.size, ADADELTA_BLOCK):
-            xb, gb, eg, ex = (f[start:start + ADADELTA_BLOCK] for f in flats)
-            a, b = state.scratch[:, :gb.size]
+        blocks = [(x, g, state.sq_grad[name], state.sq_update[name])]
+        if x.size > ADADELTA_BLOCK:
+            flats = [v.reshape(-1) for v in blocks[0]]
+            blocks = [[f[start:start + ADADELTA_BLOCK] for f in flats]
+                      for start in range(0, x.size, ADADELTA_BLOCK)]
+        for xb, gb, eg, ex in blocks:
+            a, b = state.scratch[:, :gb.size].reshape((2, *gb.shape))
             eg *= rho
             eg += np.multiply(np.multiply(gb, 1.0 - rho, out=a), gb, out=a)
             delta = np.sqrt(np.add(ex, eps, out=a), out=a)
@@ -191,7 +195,7 @@ def compute_metrics(golds, preds, num_classes: int) -> EvalResult:
 
 def evaluate(model: MvnModel, dataset) -> EvalResult:
     """Eval-mode accuracy, mean cross-entropy, and per-class metrics, from
-    forward passes in batches of ``config.batch_size``."""
+    the forward passes of :meth:`MvnModel.eval_batches`."""
     if not dataset:
         raise ValueError("evaluate: empty dataset")
     golds, preds = [], []

@@ -27,6 +27,7 @@ from mvnet.features import (
 )
 from mvnet.model import (
     MvnModel,
+    ViewBundle,
     attention_scores,
     attention_weights,
     classify,
@@ -529,9 +530,8 @@ class TestLengthOrderedScoring:
         assert batched.confusion == alone.confusion
         assert batched.mean_loss == pytest.approx(alone.mean_loss, rel=0, abs=1e-12)
 
-    def test_batches_run_in_length_order(self, monkeypatch):
-        model = make_model(batch_size=4)
-        docs = shuffled_length_docs(model)
+    @staticmethod
+    def record_batches(monkeypatch):
         batches = []
         forward_batch = MvnModel.forward_batch
 
@@ -540,12 +540,56 @@ class TestLengthOrderedScoring:
             return forward_batch(self, graph, batch, *args, **kwargs)
 
         monkeypatch.setattr(MvnModel, "forward_batch", recording)
+        return batches
+
+    def test_batches_run_in_length_order(self, monkeypatch):
+        # 23 documents at batch size 4 make 23 // 4 = 5 batches, the first
+        # three one larger, rather than five batches of 4 and a runt of 3.
+        model = make_model(batch_size=4)
+        docs = shuffled_length_docs(model)
+        batches = self.record_batches(monkeypatch)
         for score in (evaluate, extract_view_representations):
             batches.clear()
             score(model, docs)
-            assert [len(b) for b in batches] == [4] * 5 + [3]
+            assert [len(b) for b in batches] == [5, 5, 5, 4, 4]
             lengths = [n for batch in batches for n in batch]
             assert lengths == sorted(len(doc.tokens) for doc in docs)
+
+    def test_a_call_one_short_of_two_batches_is_one_batch(self, monkeypatch):
+        model = make_model(batch_size=23)
+        single = MvnModel(dataclasses.replace(model.config, batch_size=1), model.vocab,
+                          model.num_classes, model.params)
+        docs = shuffled_length_docs(model) + shuffled_length_docs(model, seed=5)[:2]
+        assert len(docs) == 25
+        alone = evaluate(single, docs)
+        batches = self.record_batches(monkeypatch)
+        batched = evaluate(model, docs)
+        assert [len(b) for b in batches] == [25]
+        assert batched.confusion == alone.confusion
+        assert batched.mean_loss == pytest.approx(alone.mean_loss, rel=0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=200),
+           batch_size=st.integers(min_value=1, max_value=60))
+    def test_batches_are_the_fewest_even_cuts_of_the_length_order(self, lengths,
+                                                                    batch_size):
+        model = make_model()
+        model = MvnModel(dataclasses.replace(model.config, batch_size=batch_size),
+                         model.vocab, model.num_classes, model.params)
+        # Only the cut is under test: skip the forward pass itself.
+        model.forward_batch = lambda graph, batch, **kwargs: (
+            None, ViewBundle(selections=[], views=[], attention=[]))
+        docs = [make_doc(n) for n in lengths]
+        cuts = [(positions, batch) for positions, batch, _, _ in model.eval_batches(docs)]
+        sizes = [len(positions) for positions, _ in cuts]
+        n = len(docs)
+        assert len(sizes) == max(1, n // batch_size)
+        assert max(sizes) - min(sizes) <= 1
+        if n >= batch_size:
+            assert batch_size <= min(sizes) and max(sizes) <= 2 * batch_size - 1
+        assert [i for positions, _ in cuts for i in positions] == sorted(
+            range(n), key=lambda i: lengths[i])
+        assert all(batch == [docs[i] for i in positions] for positions, batch in cuts)
 
 
 class TestPredict:
