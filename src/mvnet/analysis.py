@@ -39,8 +39,8 @@ def extract_view_representations(model: MvnModel, dataset) -> ViewDataset:
     if not dataset:
         raise ValueError("extract_view_representations: empty dataset")
     vectors = np.empty((len(dataset), model.config.views, model.config.view_dim))
-    for positions, _, _, views in model.eval_batches(dataset):
-        vectors[positions] = np.stack([v.value for v in views], axis=1)
+    for positions, _, _, bundle in model.eval_batches(dataset):
+        vectors[positions] = np.stack([v.value for v in bundle.views], axis=1)
     labels = [doc.label for doc in dataset]
     return ViewDataset(vectors=vectors, labels=np.array(labels, dtype=np.intp))
 

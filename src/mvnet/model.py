@@ -48,16 +48,16 @@ from .numeric import (
     require_finite,
     reshape,
     softmax_vec,
+    stack_views,
     tanh_ew,
-    unstack,
 )
 
 
 @dataclass
 class ViewBundle:
-    """Per-view intermediates of a forward pass: selections, views and
-    attention weights, as (B, ...) blocks of a batch or vectors of one
-    document."""
+    """Per-view selections, views and attention weights of a forward pass,
+    as (B, ...) blocks of a batch or vectors of one document: values off
+    the tape, carrying no gradient."""
 
     selections: list[Tensor]
     views: list[Tensor]
@@ -88,45 +88,35 @@ def select(weights: Tensor, columns: Tensor) -> Tensor:
     return matvec(columns, weights)
 
 
-def compose_views(selections: list[Tensor], leaves: Mapping[str, Tensor],
-                  variant: str) -> list[Tensor]:
-    """Turn per-view selections into view vectors.
-
-    The first and last views are their selections unchanged. Interior view i
-    is tanh(leaves["view<i>.combine"] @ inputs) with no bias, where inputs
-    concatenate the selection with every earlier view (full) or just the
-    previous view (chain). Each selection and view is a (B, d) block.
+def compose_views(selections: Tensor, leaves: Mapping[str, Tensor],
+                  variant: str) -> Tensor:
+    """The (B, V * d) stack of the views composed from the (V, B, d)
+    selections by one :func:`numeric.stack_views` node, each document's
+    views end to end. The first and last views are their selections.
+    Interior view i is tanh(leaves["view<i>.combine"] @ inputs) with no
+    bias, where inputs concatenate every earlier view (full) or just the
+    previous view (chain) with the selection; under no-links every view is
+    its selection.
     """
-    count = len(selections)
-    if variant == VARIANT_NO_LINKS or count <= 2:
-        return list(selections)
-    views = [selections[0]]
-    for position in range(2, count):  # 1-based interior view numbers
-        selection = selections[position - 1]
-        if variant == VARIANT_FULL:
-            inputs = concat_rows([*views, selection], axis=-1)
-        else:
-            inputs = concat_rows([views[-1], selection], axis=-1)
-        views.append(tanh_ew(linear(inputs, leaves[f"view{position}.combine"])))
-    views.append(selections[-1])
-    return views
+    interior = () if variant == VARIANT_NO_LINKS else range(2, selections.shape[0])
+    return stack_views(selections, [leaves[f"view{i}.combine"] for i in interior])
 
 
-def classify(views: list[Tensor], leaves: Mapping[str, Tensor],
+def classify(stack: Tensor, leaves: Mapping[str, Tensor],
              dropout_mask: np.ndarray | None = None) -> Tensor:
-    """Concatenate each document's views and read out (B, classes) logits
-    through the ``classifier.*`` leaves, the tanh hidden layer first if bound.
+    """Read out (B, classes) logits from the (B, V * d) view stack of
+    :func:`compose_views` through the ``classifier.*`` leaves, the tanh
+    hidden layer first if bound.
 
     ``dropout_mask`` (B, V * d), already inverted-scaled, multiplies the
-    concatenated vectors; pass None outside training.
+    stack; pass None outside training.
     """
-    stacked = views[0] if len(views) == 1 else concat_rows(views, axis=-1)
     if dropout_mask is not None:
-        stacked = mul(stacked, stacked.graph.tensor(dropout_mask))
+        stack = mul(stack, stack.graph.tensor(dropout_mask))
     if "classifier.hidden_weight" in leaves:
-        stacked = tanh_ew(linear(stacked, leaves["classifier.hidden_weight"],
-                                 leaves["classifier.hidden_bias"]))
-    return linear(stacked, leaves["classifier.out_weight"], leaves["classifier.out_bias"])
+        stack = tanh_ew(linear(stack, leaves["classifier.hidden_weight"],
+                               leaves["classifier.hidden_bias"]))
+    return linear(stack, leaves["classifier.out_weight"], leaves["classifier.out_bias"])
 
 
 def view_stack_param_count(views: int, view_dim: int, variant: str) -> int:
@@ -270,7 +260,7 @@ class MvnModel:
 
         Returns the (B, classes) logits and the per-view selections (B, d),
         views (B, d) and attention weights (B, R) over the R feature rows,
-        the weights as tensors that carry no gradient.
+        as tensors that carry no gradient.
         A given (B, V * d) dropout mask is applied, so the caller owns all
         randomness. ``bound`` is a :meth:`bind` leaf map.
         """
@@ -317,10 +307,11 @@ class MvnModel:
             table, np.maximum(row_index, 0), valid,
             [bound[f"head{i}.row_transform"] for i in heads],
             [bound[f"head{i}.score_vector"] for i in heads])
-        selections = unstack(attended)
-        views = compose_views(selections, bound, self.config.variant)
-        return classify(views, bound, dropout_mask), ViewBundle(
-            selections=selections, views=views,
+        stack = compose_views(attended, bound, self.config.variant)
+        views = stack.value.reshape(len(docs), len(heads), -1).swapaxes(0, 1)
+        return classify(stack, bound, dropout_mask), ViewBundle(
+            selections=[graph.parameter(s) for s in attended.value],
+            views=[graph.parameter(v) for v in views],
             attention=[graph.parameter(w) for w in weights])
 
     def forward(self, graph: Graph, doc: LabeledDocument, mode: str = "eval",
@@ -343,8 +334,8 @@ class MvnModel:
                                                np.s_[len(doc.tokens):w.shape[1] - pooled]))
                      for w in bundle.attention]
         return reshape(logits, logits.shape[1:]), ViewBundle(
-            selections=[reshape(s, s.shape[1:]) for s in bundle.selections],
-            views=[reshape(v, v.shape[1:]) for v in bundle.views],
+            selections=[graph.parameter(s.value[0]) for s in bundle.selections],
+            views=[graph.parameter(v.value[0]) for v in bundle.views],
             attention=attention)
 
     def predict(self, doc: LabeledDocument) -> int:
@@ -359,9 +350,9 @@ class MvnModel:
         differ by at most one: a batch's cost is mostly its fixed pass over the
         weights, so no batch is a runt under ``batch_size`` unless the whole
         call is, and none holds more than ``2 * batch_size - 1``. Yields each
-        batch's positions in ``docs``, documents, logits and views. A graph
-        bound without gradients records no nodes, so a batch's tensors are
-        freed once the caller lets go of them."""
+        batch's positions in ``docs``, documents, logits and :class:`ViewBundle`.
+        A graph bound without gradients records no nodes, so a batch's
+        tensors are freed once the caller lets go of them."""
         if not docs:
             return
         order = sorted(range(len(docs)), key=lambda i: len(docs[i].tokens))
@@ -374,4 +365,4 @@ class MvnModel:
             graph = Graph()
             logits, bundle = self.forward_batch(
                 graph, batch, bound=self.bind(graph, requires_grad=False))
-            yield positions, batch, logits, bundle.views
+            yield positions, batch, logits, bundle

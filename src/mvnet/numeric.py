@@ -33,14 +33,13 @@ __all__ = [
     "tanh_ew",
     "softmax_vec",
     "concat_rows",
-    "unfold",
     "linear",
     "reshape",
     "transpose",
     "gather_rows",
     "pool_windows",
     "attend_heads",
-    "unstack",
+    "stack_views",
     "cross_entropy",
     "sum_all",
     "mean_scalars",
@@ -298,29 +297,6 @@ def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return graph._record("concat_rows", out, tuple(parts), push, copied=True)
 
 
-def unfold(a: Tensor, order: int) -> Tensor:
-    """Every window of ``order`` consecutive rows, flattened: (..., rows, d) ->
-    (..., rows - order + 1, order * d); window p is rows p..p+order-1 end to
-    end, taken separately under each leading batch index."""
-    if a.ndim < 2:
-        raise ShapeError("unfold", f"expected a matrix, got {a.shape}")
-    rows, width = a.shape[-2:]
-    if not 1 <= order <= rows:
-        raise ShapeError("unfold", f"order {order} invalid for {rows} rows")
-    count = rows - order + 1
-    # Window p chains rows p, p+1, ..., so the k-th row block of every
-    # window is the matrix shifted up by k rows.
-    out = np.concatenate([a.value[..., k:k + count, :] for k in range(order)], axis=-1)
-
-    def push(grad):
-        full = np.zeros_like(a.value)
-        for k in range(order):
-            full[..., k:k + count, :] += grad[..., k * width:(k + 1) * width]
-        _accum(a, full, own=True)
-
-    return a.graph._record("unfold", out, (a,), push, copied=True)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map x @ weight^T + bias of rows x (..., in), a vector or rows
     under any leading axes, with weight (out, in); ``bias`` (out,) is
@@ -562,21 +538,54 @@ def attend_heads(table: Tensor, row_index, valid: np.ndarray | None,
     return graph._record("attend_heads", out, inputs, push), weights
 
 
-def unstack(a: Tensor) -> list[Tensor]:
-    """The blocks a[0], a[1], ... of the leading axis, one node each; their
-    values are views of ``a``'s."""
-    if a.ndim < 1:
-        raise ShapeError("unstack", f"expected a leading axis, got {a.shape}")
+def stack_views(selections: Tensor, combines: Sequence[Tensor]) -> Tensor:
+    """The (B, V * d) stack of V views composed from (V, B, d) selections,
+    in one node: columns (p - 1) * d .. p * d of a row hold view p.
 
-    def part(k):
-        def push(grad):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            a.grad[k] += grad
+    Views 1 and V, and all views without ``combines``, are their selections.
+    Otherwise combine p - 2, (d, w), makes interior view p = tanh(combine @
+    x), x the w buffer columns that end with slot p while it holds selection
+    p: w = p * d reads every earlier view, 2 * d the previous one. No input
+    is concatenated. Backward walks the views in reverse and adds each input
+    gradient into the earlier slots, in the order a tape of per-view
+    concatenations, linear maps and tanh nodes sums them.
+    """
+    graph = _graph_of("stack_views", selections, *combines)
+    count, batch, width = selections.shape if selections.ndim == 3 else (0, 0, 0)
+    spans = [c.shape[-1] if c.ndim else 0 for c in combines]
+    if (not count * batch * width or combines and len(combines) != count - 2
+            or any(c.shape != (width, w) or not width <= w <= p * width or w % width
+                   for p, (c, w) in enumerate(zip(combines, spans), start=2))):
+        raise ShapeError("stack_views", f"combines {[tuple(c.shape) for c in combines]} do"
+                                        f" not fit selections {selections.shape}")
+    # A copy even at B = 1, where the transposed selections are in C order.
+    out = np.array(selections.value.transpose(1, 0, 2), order="C").reshape(batch, -1)
+    inner = np.empty((len(combines), batch, width))
+    for p, (c, w) in enumerate(zip(combines, spans), start=2):
+        np.matmul(out[:, p * width - w:p * width], c.value.T, out=inner[p - 2])
+        np.tanh(inner[p - 2], out=out[:, (p - 1) * width:p * width])
+    # tanh hides an overflow, so the products are screened before it.
+    require_finite("stack_views", inner)
 
-        return a.graph._record("unstack", a.value[k], (a,), push, copied=True)
+    def push(grad):
+        # The node owns ``grad``: it becomes each slot's selection gradient.
+        for p, c, w in reversed(list(zip(range(2, count), combines, spans))):
+            lo, hi = p * width - w, p * width
+            view = out[:, hi - width:hi]
+            dz = grad[:, hi - width:hi] * (1.0 - view * view)
+            # View p's input in C order, as a concatenation held it: numpy
+            # may order a strided product's sums differently (at d = 1).
+            rows = out[:, lo:hi].copy()
+            rows[:, -width:] = selections.value[p - 1]
+            _accum(c, dz.T @ rows, own=True)
+            dx = dz @ c.value
+            grad[:, lo:hi - width] += dx[:, :-width]
+            grad[:, hi - width:hi] = dx[:, -width:]
+        # 0 + g, as the tape's per-view adds into a zeroed gradient: -0.0 becomes +0.0.
+        _accum(selections, np.add(grad.reshape(batch, count, width).transpose(1, 0, 2), 0.0,
+                                  order="C"), own=True)
 
-    return [part(k) for k in range(a.shape[0])]
+    return graph._record("stack_views", out, (selections, *combines), push, copied=True)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

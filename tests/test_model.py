@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvnet.config import (
     TrainConfig,
@@ -40,15 +40,21 @@ from mvnet.model import (
 from mvnet.numeric import (
     Graph,
     NumericError,
+    ShapeError,
     attend_heads,
     concat_rows,
     cross_entropy,
     finite_diff_check,
     gather_rows,
+    mul,
     reshape,
+    stack_views,
+    sum_all,
     transpose,
 )
 from mvnet.training import evaluate, sample_dropout_mask
+
+import reference
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 
@@ -198,6 +204,17 @@ class TestForwardStructure:
         assert bundle.views[0].value.tobytes() == bundle.selections[0].value.tobytes()
         assert bundle.views[-1].value.tobytes() == bundle.selections[-1].value.tobytes()
 
+    def test_bundle_holds_values_off_the_tape(self):
+        # Selections come from the attention node's value and views from
+        # the classifier's input stack; only their values are ever read.
+        model = make_model(views=5)
+        graph = Graph()
+        logits, bundle = model.forward_batch(graph, [make_doc(6), make_doc(2)])
+        for blocks in (bundle.selections, bundle.views):
+            assert [b.shape for b in blocks] == [(2, model.config.view_dim)] * 5
+            assert not any(b.requires_grad for b in blocks)
+        assert logits.requires_grad
+
     def test_attention_weights_form_distributions(self):
         model = make_model(views=4)
         _, bundle = model.forward(Graph(), make_doc(6))
@@ -327,6 +344,87 @@ class TestGradients:
         assert finite_diff_check(build, model.params) < 1e-4
 
 
+def combine_arrays(rng, views, width, variant):
+    """Random ``view<i>.combine`` arrays of the layout of a model with these
+    views, view width and variant."""
+    config = TrainConfig(views=views, view_dim=width, variant=variant)
+    return {name: rng.normal(size=shape) * 0.5
+            for name, shape, _ in parameter_layout(config, 1, 2) if name.endswith(".combine")}
+
+
+class TestComposeViews:
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS), views=st.integers(1, 8),
+           batch=st.integers(1, 6), width=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    # At B = 1 the selections transposed to (B, V, d) are already in C
+    # order, so a stack that does not copy them writes its views into them.
+    @example(variant=VARIANT_FULL, views=8, batch=1, width=3, seed=0)
+    @example(variant=VARIANT_CHAIN, views=4, batch=1, width=2, seed=1)
+    def test_node_matches_the_per_view_chain(self, variant, views, batch, width, seed):
+        # The one stack_views node against the tape it replaces (unstack,
+        # then per view concat_rows, linear and tanh_ew, then the
+        # classifier's concat), bit for bit in the stack and every gradient.
+        rng = np.random.default_rng(seed)
+        selections = rng.normal(size=(views, batch, width))
+        combines = combine_arrays(rng, views, width, variant)
+        weights = rng.normal(size=(batch, views * width))
+        results = []
+        for build in (lambda s, leaves: compose_views(s, leaves, variant),
+                      lambda s, leaves: reference.stack_views(reference.unstack(s), leaves,
+                                                              variant)):
+            graph = Graph()
+            leaf = graph.tensor(selections.copy(), requires_grad=True)
+            leaves = {k: graph.tensor(v, requires_grad=True) for k, v in combines.items()}
+            stack = build(leaf, leaves)
+            # A weighted sum of squares: every entry gets its own gradient.
+            graph.backward(sum_all(mul(mul(stack, stack), graph.tensor(weights))))
+            assert leaf.value.tobytes() == selections.tobytes()
+            results.append([stack.value, leaf.grad, *(leaves[k].grad for k in sorted(leaves))])
+        assert len(results[0]) == len(results[1]) == 2 + len(combines)
+        for fused, chain in zip(*results):
+            assert fused.shape == chain.shape and fused.tobytes() == chain.tobytes()
+
+    @pytest.mark.parametrize("views", [1, 2, 3, 8])
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_node_passes_finite_differences(self, rng, variant, padded, views):
+        # Selections from attend_heads over two texts of a 5-row table, the
+        # second padded past its second entry or not.
+        ids = np.array([[1, 2, 3, 4], [3, 1, 0, 0]])
+        valid = np.array([[True] * 4, [True, True, not padded, not padded]])
+        params = {"table": rng.normal(size=(5, 3)),
+                  "c": rng.normal(size=(2, views * 3)),
+                  **combine_arrays(rng, views, 3, variant)}
+        for i in range(views):
+            params[f"transform{i}"] = rng.normal(size=(2, 3)) * 0.6
+            params[f"score{i}"] = rng.normal(size=2)
+
+        def build(graph, leaves):
+            selections, _ = attend_heads(leaves["table"], ids, valid,
+                                         [leaves[f"transform{i}"] for i in range(views)],
+                                         [leaves[f"score{i}"] for i in range(views)])
+            stack = compose_views(selections, leaves, variant)
+            return sum_all(mul(mul(stack, stack), leaves["c"]))
+
+        assert finite_diff_check(build, params) < 1e-8
+
+    @pytest.mark.parametrize("combine_shapes", [
+        [(2, 4)],                 # one combine for three interior views
+        [(2, 4), (2, 4), (2, 4)],  # three combines for two interior views
+        [(3, 4), (2, 4)],         # rows differ from the view width
+        [(2, 3), (2, 4)],         # width not a multiple of the view width
+        [(2, 6), (2, 4)],         # view 2 reads past the first view
+        [(2, 4), (2, 10)],        # view 3 reads past the first view
+    ])
+    def test_node_rejects_combines_that_do_not_fit(self, combine_shapes):
+        graph = Graph()
+        selections = graph.tensor(np.ones((4, 3, 2)), requires_grad=True)
+        with pytest.raises(ShapeError, match="stack_views"):
+            stack_views(selections, [graph.tensor(np.ones(s), requires_grad=True)
+                                     for s in combine_shapes])
+
+
 class TestBatchedForward:
     @settings(max_examples=40, deadline=None)
     @given(lengths=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
@@ -435,7 +533,7 @@ class TestBatchedForward:
                 scores = attention_scores(rows, ref[f"head{i}.row_transform"],
                                           ref[f"head{i}.score_vector"])
                 selections.append(select(attention_weights(scores, valid), columns))
-            ref_logits = classify(compose_views(selections, ref, variant), ref)
+            ref_logits = classify(reference.stack_views(selections, ref, variant), ref)
             ref_graph.backward(cross_entropy(ref_logits, labels))
 
             np.testing.assert_allclose(logits.value, ref_logits.value, rtol=1e-12, atol=0,
@@ -467,8 +565,8 @@ class TestBatchedForward:
                                                                for doc in docs]),
                         leaves["projection.weight"], leaves["projection.bias"])
         rows = gather_rows(table, [1, 2, 3])
-        expected = classify(compose_views([rows] * model.config.views, leaves, variant),
-                            leaves)
+        expected = classify(reference.stack_views([rows] * model.config.views, leaves,
+                                                  variant), leaves)
         assert logits.value.tobytes() == expected.value.tobytes()
 
     @pytest.mark.parametrize("conv", [False, True])

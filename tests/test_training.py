@@ -316,55 +316,61 @@ class TestTrainEpoch:
                         AdadeltaState.for_params(model.params))
         assert len(nodes) == 2 and nodes[0] == nodes[1]
 
+    @staticmethod
+    def tape_ops(monkeypatch, config, train):
+        """The op counts of the tape of one training batch."""
+        ops = []
+        backward = Graph.backward
+
+        def counting(graph, loss):
+            ops.append(Counter(node.op for node in graph.nodes))
+            return backward(graph, loss)
+
+        monkeypatch.setattr(Graph, "backward", counting)
+        model = build_model(config, train)
+        train_epoch(model, train[:config.batch_size], config, RngStreams.from_seed(0),
+                    AdadeltaState.for_params(model.params))
+        assert len(ops) == 1
+        return ops[0]
+
     def test_ngram_batch_tape_holds_one_feature_table(self, tiny_corpus, tiny_config,
                                                       monkeypatch):
         # One attend_heads node scores and mixes one table of distinct rows
         # (projected tokens, then the pooled n-gram rows) for all 3 heads
-        # through one row index, and one unstack node per head hands out its
-        # selection; the dropout mask needs no gradient and stays off the
-        # tape. 22 leaves: one per parameter; one pool_windows node makes
+        # through one row index, and one stack_views node composes and
+        # stacks the views; the dropout mask needs no gradient and stays off
+        # the tape. 22 leaves: one per parameter; one pool_windows node makes
         # every pooled n-gram row.
-        train, _, _ = tiny_corpus
-        ops = []
-        backward = Graph.backward
-
-        def counting(graph, loss):
-            ops.append(Counter(node.op for node in graph.nodes))
-            return backward(graph, loss)
-
-        monkeypatch.setattr(Graph, "backward", counting)
         config = dataclasses.replace(tiny_config, conv_features=True, dropout=0.2)
-        model = build_model(config, train)
-        train_epoch(model, train[:config.batch_size], config, RngStreams.from_seed(0),
-                    AdadeltaState.for_params(model.params))
-        assert ops == [Counter(
-            leaf=22, gather_rows=1, linear=4, tanh_ew=3, pool_windows=1,
-            concat_rows=3, transpose=1, attend_heads=1, unstack=3, mul=1,
-            cross_entropy=1)]
+        assert self.tape_ops(monkeypatch, config, tiny_corpus[0]) == Counter(
+            leaf=22, gather_rows=1, linear=3, tanh_ew=2, pool_windows=1,
+            concat_rows=1, transpose=1, attend_heads=1, stack_views=1, mul=1,
+            cross_entropy=1)
 
     def test_wide_batch_tape_holds_one_attention_node(self, tiny_corpus, monkeypatch):
         # The wide-noconv shape (8 views, full links, no n-gram rows, the
         # hidden classifier layer, dropout) at small widths: 29 leaves and
-        # 37 other nodes, of which one attend_heads node serves all 8 heads
-        # and one unstack node per head hands out its selection.
-        train, _, _ = tiny_corpus
-        ops = []
-        backward = Graph.backward
-
-        def counting(graph, loss):
-            ops.append(Counter(node.op for node in graph.nodes))
-            return backward(graph, loss)
-
-        monkeypatch.setattr(Graph, "backward", counting)
+        # 11 other nodes, of which one attend_heads node serves all 8 heads
+        # and one stack_views node composes and stacks their views.
         config = TrainConfig(views=8, view_dim=4, embed_dim=6, batch_size=23, dropout=0.2,
                              conv_features=False, variant="full", seed=3)
-        model = build_model(config, train)
-        train_epoch(model, train[:config.batch_size], config, RngStreams.from_seed(0),
-                    AdadeltaState.for_params(model.params))
-        assert ops == [Counter(
-            leaf=29, gather_rows=1, transpose=1, linear=9, tanh_ew=8, attend_heads=1,
-            unstack=8, concat_rows=7, mul=1, cross_entropy=1)]
-        assert sum(ops[0].values()) - ops[0]["leaf"] == 37
+        ops = self.tape_ops(monkeypatch, config, tiny_corpus[0])
+        assert ops == Counter(
+            leaf=29, gather_rows=1, transpose=1, linear=3, tanh_ew=2, attend_heads=1,
+            stack_views=1, mul=1, cross_entropy=1)
+        assert sum(ops.values()) - ops["leaf"] == 11
+
+    def test_long_batch_tape_holds_one_view_stack(self, tiny_corpus, monkeypatch):
+        # The infer-long shape (8 views, full links, n-gram rows on, the
+        # hidden classifier layer, dropout, batches of 10) at small widths:
+        # 37 leaves and 13 other nodes, the same as with 3 views.
+        config = TrainConfig(views=8, view_dim=4, embed_dim=4, batch_size=10, dropout=0.2,
+                             conv_features=True, variant="full", seed=3)
+        ops = self.tape_ops(monkeypatch, config, tiny_corpus[0])
+        assert ops == Counter(
+            leaf=37, gather_rows=1, linear=3, tanh_ew=2, pool_windows=1, concat_rows=1,
+            transpose=1, attend_heads=1, stack_views=1, mul=1, cross_entropy=1)
+        assert sum(ops.values()) - ops["leaf"] == 13
 
     def test_numeric_error_names_the_batch(self, tiny_corpus, tiny_config):
         train, _, _ = tiny_corpus
