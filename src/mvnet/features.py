@@ -98,9 +98,9 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator,
     with ``dim`` values; a file with no vectors is rejected.
 
     Rows for tokens present in the file are copied verbatim; every other row
-    (padding and unknown included) stays at its uniform [-0.05, 0.05] draw.
-    The random fill happens in one call before any copy, so file coverage
-    never shifts the rng stream.
+    (padding and unknown included) keeps its :func:`init_embeddings` draw.
+    The whole fresh table is drawn before any copy, so file coverage never
+    shifts the rng stream.
     """
     vectors: dict[str, np.ndarray] = {}
     for lineno, raw in read_lines(path, EmbeddingFileError):
@@ -123,7 +123,7 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator,
         vectors[token] = vector
     if not vectors:
         raise EmbeddingFileError(f"{path}: no vectors found")
-    table = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
+    table = init_embeddings(vocab, dim, rng)
     for token, vector in vectors.items():
         slot = vocab.index.get(token)
         if slot is not None and slot >= 2:

@@ -6,10 +6,10 @@ rows. The first and last views pass their selections through unchanged;
 interior views combine their selection with earlier views ("full" links to
 all earlier views, "chain" only to the previous one, "no-links" to none).
 
-A forward pass runs on a whole mini-batch at once: the documents are
-right-padded with the ``<pad>`` token to one length, and the padding is
-masked out of the attention and the n-gram pools, so every document gets
-the result it would get alone.
+A forward pass runs on a whole mini-batch at once: each document's ids are
+right-padded with -1 to the longest one, and the batched ops keep that
+padding out of the n-gram pools and the attention themselves, so every
+document gets the result it would get alone.
 """
 
 from __future__ import annotations
@@ -256,11 +256,12 @@ class MvnModel:
                       ) -> tuple[Tensor, ViewBundle]:
         """Full pipeline for a padded batch of documents in one graph: embed,
         project, optionally add pooled n-gram rows, attend per view, compose
-        views, classify.
+        views, classify. One (B, longest) id array, -1 past each document's
+        end, feeds both batched ops, which handle the padding.
 
         Returns the (B, classes) logits and the per-view selections (B, d),
         views (B, d) and attention weights (B, R) over the R feature rows,
-        as tensors that carry no gradient.
+        padding entries at weight 0, as tensors that carry no gradient.
         A given (B, V * d) dropout mask is applied, so the caller owns all
         randomness. ``bound`` is a :meth:`bind` leaf map.
         """
@@ -271,17 +272,14 @@ class MvnModel:
             raise ValueError("forward: document has no tokens")
         if bound is None:
             bound = self.bind(graph)
-        # With n-gram rows on, every text fills at least the widest window.
-        width = max(lengths)
-        if self.config.conv_features:
-            width = max(width, max(NGRAM_ORDERS))
-        # One slot per distinct id, <pad> first: each is projected once, then
-        # gathered per token (the row-wise projection gives the same values).
+        # One slot per distinct id, <pad> first, as the row that pool_windows
+        # reads past a text's end: each is projected once, then gathered per
+        # token (the row-wise projection gives the same values).
         # The map's own get, bound once, is Vocabulary.lookup without a call
         # per token.
         slots = {self.vocab.pad_index: 0}
         token_id, unknown = self.vocab.index.get, self.vocab.unk_index
-        ids = np.full((len(docs), width), -1, dtype=np.intp)
+        ids = np.full((len(docs), max(lengths)), -1, dtype=np.intp)
         for row, doc in zip(ids, docs):
             row[:len(doc.tokens)] = [slots.setdefault(token_id(t, unknown), len(slots))
                                      for t in doc.tokens]
@@ -300,11 +298,9 @@ class MvnModel:
             table = concat_rows([token_rows, ngram_features(token_rows, bound, ids)])
             row_index = np.hstack([ids, len(slots) + np.arange(batch)[:, None]
                                    + batch * np.arange(len(NGRAM_ORDERS))])
-        # Past its end a document reads the <pad> row, masked out of attention.
-        valid = row_index >= 0 if min(lengths) < width else None
         heads = range(1, self.config.views + 1)
         attended, weights = attend_heads(
-            table, np.maximum(row_index, 0), valid,
+            table, row_index,
             [bound[f"head{i}.row_transform"] for i in heads],
             [bound[f"head{i}.score_vector"] for i in heads])
         stack = compose_views(attended, bound, self.config.variant)
@@ -319,24 +315,19 @@ class MvnModel:
                 bound: Mapping[str, Tensor] | None = None) -> tuple[Tensor, ViewBundle]:
         """:meth:`forward_batch` for one document, with its (V * d,) dropout
         mask, which applies only in train mode; returns the logit vector and
-        the per-view selections, views and attention weights as vectors, the
-        weights over the document's own feature rows only."""
+        the per-view selections, views and attention weights as vectors. A
+        lone document needs no padding, so its weights cover exactly its own
+        feature rows."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         mask = None
         if mode == "train" and dropout_mask is not None:
             mask = np.reshape(dropout_mask, (1, -1))
         logits, bundle = self.forward_batch(graph, [doc], mask, bound)
-        # A text shorter than the widest n-gram window is padded before its
-        # pooled rows; the weights keep the text's own rows only.
-        pooled = len(NGRAM_ORDERS) if self.config.conv_features else 0
-        attention = [graph.parameter(np.delete(w.value[0],
-                                               np.s_[len(doc.tokens):w.shape[1] - pooled]))
-                     for w in bundle.attention]
         return reshape(logits, logits.shape[1:]), ViewBundle(
             selections=[graph.parameter(s.value[0]) for s in bundle.selections],
             views=[graph.parameter(v.value[0]) for v in bundle.views],
-            attention=attention)
+            attention=[graph.parameter(w.value[0]) for w in bundle.attention])
 
     def predict(self, doc: LabeledDocument) -> int:
         """Predicted label of one document, scored by :meth:`eval_batches`."""

@@ -8,10 +8,10 @@ runs bit-identical. A tensor that needs no gradient stays off the tape and
 is freed as soon as nothing uses it.
 
 The structural ops accept leading batch axes, so one graph can carry a whole
-mini-batch of padded documents: ``softmax_vec`` and ``attend_heads`` take a
-validity mask and ``pool_windows`` reads each text's length from its row
-ids, so padding stays out of the result without ever recording an infinite
-value.
+mini-batch of padded documents. The batched ops ``pool_windows`` and
+``attend_heads`` take each text's row ids with -1 past its end and handle
+that padding themselves (``softmax_vec`` takes a validity mask instead), so
+padding stays out of the result without ever recording an infinite value.
 """
 
 from __future__ import annotations
@@ -393,12 +393,13 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
     """Max-over-time pooled tanh filter responses of each text of a batch.
 
     ``ids`` (B, T) holds each text's rows of ``table`` (U, d), then -1 past
-    its end, where the text reads row 0, the pad row. Filter k, (d, n * d)
-    with a (d,) bias, maps each window of n consecutive positions to
-    tanh(filter @ rows end to end + bias); each channel keeps its largest
-    response over the windows p <= max(length - n, 0), so a text shorter
-    than n keeps its single padded window. The result is (K * B, d): row
-    k * B + b is text b's pool under filter k.
+    its end, where the text reads row 0, the pad row; ids narrower than the
+    widest filter are widened with -1 here. Filter k, (d, n * d) with a (d,)
+    bias, maps each window of n consecutive positions to tanh(filter @ rows
+    end to end + bias); each channel keeps its largest response over the
+    windows p <= max(length - n, 0), so a text shorter than n keeps its
+    single padded window. The result is (K * B, d): row k * B + b is text
+    b's pool under filter k.
 
     Each filter's (d, d) block per window offset (tap) multiplies the table
     once. Only the first maximal window of each text, filter and channel,
@@ -413,11 +414,11 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
     if (slots.ndim != 2 or not filters or len(filters) != len(biases)
             or any(n < 1 or f.shape != (width, n * width) or b.shape != (width,)
                    for f, b, n in zip(filters, biases, orders))
-            or slots.shape[1] < max(orders)
             or slots.size and (slots + 1).view(np.uintp).max() > rows):
         raise ShapeError("pool_windows", f"filters and biases must fit table {table.shape},"
-                                         f" and ids {slots.shape} must be its rows, padded"
-                                         f" with -1 to the widest window")
+                                         f" and ids {slots.shape} must be its rows or -1")
+    if slots.shape[1] < max(orders):
+        slots = np.hstack([slots, np.full((len(slots), max(orders) - slots.shape[1]), -1)])
     batch, positions = slots.shape
     lengths = (slots >= 0).sum(axis=1)
     slots = np.maximum(slots, 0)
@@ -462,17 +463,15 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
     return graph._record("pool_windows", out, inputs, push)
 
 
-def attend_heads(table: Tensor, row_index, valid: np.ndarray | None,
-                 transforms: Sequence[Tensor],
+def attend_heads(table: Tensor, row_index, transforms: Sequence[Tensor],
                  score_vectors: Sequence[Tensor]) -> tuple[Tensor, np.ndarray]:
     """V soft-attention selections over the rows of ``table`` in one node.
 
-    ``row_index`` (B, R) holds each text's rows of ``table`` (U, d);
-    ``valid``, boolean (B, R) or None for all valid, marks the entries that
-    take part, at least one per text. Head v scores a row as
+    ``row_index`` (B, R) holds each text's rows of ``table`` (U, d), then -1
+    past its end; every text has at least one row. Head v scores a row as
     score_vectors[v] . tanh(transforms[v] @ row), transforms (a, d) and score
-    vectors (a,); its weights are the softmax of a text's valid scores (the
-    others get weight exactly 0), its selection the weighted sum of the rows.
+    vectors (a,); its weights are the softmax of a text's scores (the -1
+    entries get weight exactly 0), its selection the weighted sum of the rows.
 
     Returns the (V, B, d) selections and the (V, B, R) weights, a plain array
     without gradient. One (V * a, d) product of the stacked transforms scores
@@ -486,19 +485,18 @@ def attend_heads(table: Tensor, row_index, valid: np.ndarray | None,
     rows, width = table.shape if table.ndim == 2 else (0, 0)
     heads = len(transforms)
     size = transforms[0].shape[0] if heads and transforms[0].ndim == 2 else 0
-    # The index check is one pass: a negative index reads as a huge unsigned one.
+    valid = idx >= 0
+    # The range check is one pass: -1 becomes 0 and a lower index a huge unsigned one.
     if (not heads or len(score_vectors) != heads or not rows or idx.ndim != 2 or not idx.size
             or any(t.shape != (size, width) for t in transforms)
             or any(s.shape != (size,) for s in score_vectors)
-            or idx.view(np.uintp).max() >= rows):
+            or (idx + 1).view(np.uintp).max() > rows or not valid.any(axis=1).all()):
         raise ShapeError("attend_heads", f"transforms and score vectors must fit table"
                                          f" {table.shape}, and row index {idx.shape}"
-                                         f" must be rows of it")
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != idx.shape or not valid.any(axis=1).all():
-            raise ShapeError("attend_heads", f"mask {valid.shape} does not leave a valid"
-                                             f" entry in every row of {idx.shape}")
+                                         f" must be rows of it or -1, with a row in every text")
+    # Without a -1 entry no weight needs masking.
+    valid = None if valid.all() else valid
+    idx = np.maximum(idx, 0)
     batch = idx.shape[0]
     stacked = np.concatenate([t.value for t in transforms])
     hidden = table.value @ stacked.T

@@ -4,7 +4,8 @@ fused ops against them.
 ``unfold`` made the n-gram windows before ``numeric.pool_windows`` did;
 ``unstack``, ``compose_views`` and ``stack_views`` are the per-view tape
 chain that ``numeric.stack_views`` runs as one node. Their bodies are the
-ones the package ran.
+ones the package ran. ``padded`` turns the (ids, validity mask) pair that
+``numeric.attend_heads`` once took into the -1 ids it takes now.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ def unfold(a: Tensor, order: int) -> Tensor:
         _accum(a, full, own=True)
 
     return a.graph._record("unfold", out, (a,), push, copied=True)
+
+
+def padded(ids, valid):
+    """``ids`` with -1 wherever ``valid`` is False; ``ids`` as they are when
+    ``valid`` is None."""
+    return ids if valid is None else np.where(valid, ids, -1)
 
 
 def unstack(a: Tensor) -> list[Tensor]:

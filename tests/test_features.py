@@ -19,7 +19,7 @@ from mvnet.features import (
     project,
     tokenize,
 )
-from mvnet.numeric import Graph, ShapeError, mul, sum_all
+from mvnet.numeric import Graph, mul, pool_windows, sum_all
 
 
 class TestTokenize:
@@ -238,11 +238,34 @@ class TestNgramFeatures:
                 expected = np.tanh(weight @ padded + bias)
             np.testing.assert_allclose(vector, expected, rtol=1e-12)
 
-    def test_short_text_without_pad_row_rejected(self, rng):
-        g = Graph()
-        filters = make_bank(g, 2, rng)
-        with pytest.raises(ShapeError, match="pad"):
-            ngram_features(g.tensor(rng.normal(size=(3, 2))), filters, np.array([[1, 2]]))
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.integers(min_value=1, max_value=4),
+           positions=st.integers(min_value=1, max_value=6),
+           extra=st.integers(min_value=1, max_value=3), seed=st.integers(0, 2**16))
+    def test_narrow_ids_pool_as_if_widened_with_pad_ids(self, batch, positions, extra, seed):
+        # Ids narrower than the widest window pool as the same ids widened
+        # with -1 to that window do, bit for bit in the value and every
+        # gradient.
+        rng = np.random.default_rng(seed)
+        width, widest = 2, positions + extra
+        orders = sorted({widest, *rng.integers(1, widest + 1, size=2).tolist()})
+        arrays = [rng.normal(size=(5, width)),
+                  *(rng.normal(size=(width, n * width)) * 0.4 for n in orders),
+                  *(rng.normal(size=width) * 0.1 for _ in orders)]
+        lengths = rng.integers(1, positions + 1, size=batch)
+        ids = np.where(np.arange(positions) < lengths[:, None],
+                       rng.integers(1, 5, size=(batch, positions)), -1)
+        upstream = rng.normal(size=(len(orders) * batch, width))
+        results = []
+        for given_ids in (ids, np.hstack([ids, np.full((batch, extra), -1)])):
+            g = Graph()
+            leaves = [g.tensor(a, requires_grad=True) for a in arrays]
+            out = pool_windows(leaves[0], given_ids, leaves[1:1 + len(orders)],
+                               leaves[1 + len(orders):])
+            g.backward(sum_all(mul(out, g.tensor(upstream))))
+            results.append([out.value, *(leaf.grad for leaf in leaves)])
+        for narrow, wide in zip(*results):
+            assert narrow.tobytes() == wide.tobytes()
 
     def test_augmented_matrix_adds_one_row_per_order(self, rng):
         width = 3

@@ -401,7 +401,7 @@ class TestComposeViews:
             params[f"score{i}"] = rng.normal(size=2)
 
         def build(graph, leaves):
-            selections, _ = attend_heads(leaves["table"], ids, valid,
+            selections, _ = attend_heads(leaves["table"], reference.padded(ids, valid),
                                          [leaves[f"transform{i}"] for i in range(views)],
                                          [leaves[f"score{i}"] for i in range(views)])
             stack = compose_views(selections, leaves, variant)
@@ -483,9 +483,9 @@ class TestBatchedForward:
             projected.append(rows.shape[0])
             return project(rows, *params)
 
-        def recording_attend(table, row_index, valid, transforms, score_vectors):
+        def recording_attend(table, row_index, transforms, score_vectors):
             scored.append((table.shape[0], len(transforms)))
-            return attend_heads(table, row_index, valid, transforms, score_vectors)
+            return attend_heads(table, row_index, transforms, score_vectors)
 
         monkeypatch.setattr(model_module, "project", recording_project)
         monkeypatch.setattr(model_module, "attend_heads", recording_attend)
@@ -597,6 +597,30 @@ class TestBatchedForward:
         _, bundle = model.forward(Graph(), make_doc(2))
         for weights in bundle.attention:
             assert weights.value.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_short_texts_match_their_one_document_passes(self, variant):
+        # Every text is shorter than the widest n-gram window, so only the
+        # pooling op widens their ids. The batch's softmax sums the zero
+        # weights of its pad entries, a lone text's has none, so the two
+        # may differ in the last bits.
+        model = make_model(variant=variant)
+        docs = [make_doc(n, label=n % 2) for n in (1, 4, 2, 3)]
+        logits, batched = model.forward_batch(Graph(), docs)
+        pooled = len(NGRAM_ORDERS)
+        for row, doc in enumerate(docs):
+            length = len(doc.tokens)
+            single, bundle = model.forward(Graph(), doc)
+            np.testing.assert_allclose(logits.value[row], single.value, rtol=0, atol=1e-15)
+            assert np.argmax(logits.value[row]) == model.predict(doc)
+            _, alone = model.forward_batch(Graph(), [doc])
+            for weights, one, block in zip(bundle.attention, alone.attention,
+                                           batched.attention):
+                assert weights.shape == (length + pooled,)
+                assert weights.value.tobytes() == one.value[0].tobytes()
+                own = np.r_[block.value[row, :length], block.value[row, -pooled:]]
+                np.testing.assert_allclose(weights.value, own, rtol=0, atol=1e-15)
+                assert not block.value[row, length:-pooled].any()
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="no documents"):

@@ -34,7 +34,7 @@ from mvnet.numeric import (
     tanh_ew,
     transpose,
 )
-from reference import unfold, unstack
+from reference import padded, unfold, unstack
 
 def _leaf(graph, array):
     return graph.tensor(np.asarray(array, dtype=np.float64), requires_grad=True)
@@ -64,7 +64,8 @@ def _attention_leaves(graph, rng, rows, width, heads, size=3):
 
 
 # Each text's rows of a 5-row table: unpadded, padded (False past a text's
-# end, where it reads row 0) and with a row repeated within and across texts.
+# end, where ``padded`` writes -1) and with a row repeated within and across
+# texts.
 ATTENTION_BATCHES = {
     "unpadded": ([[1, 2, 3], [4, 0, 2]], None),
     "padded": ([[1, 2, 3, 4], [3, 1, 0, 0]], [[True] * 4, [True, True, False, False]]),
@@ -355,7 +356,7 @@ class TestAttendHeads:
                                                       heads)
         ref_table, ref_transforms, ref_scores = _attention_leaves(
             chain, np.random.default_rng(seed), 5, 4, heads)
-        out, weights = attend_heads(table, ids, valid, transforms, scores)
+        out, weights = attend_heads(table, padded(ids, valid), transforms, scores)
         fused.backward(sum_all(mul(out, fused.tensor(c))))
 
         columns = transpose(gather_rows(ref_table, ids))
@@ -375,9 +376,8 @@ class TestAttendHeads:
     def test_masked_entries_get_weight_exactly_zero(self, rng):
         g = Graph()
         table, transforms, scores = _attention_leaves(g, rng, 4, 3, 2)
-        ids = np.array([[1, 2, 3, 2], [3, 1, 2, 0]])
-        valid = np.array([[False, True, False, False], [True, True, True, False]])
-        out, weights = attend_heads(table, ids, valid, transforms, scores)
+        ids = np.array([[-1, 2, -1, -1], [3, 1, 2, -1]])
+        out, weights = attend_heads(table, ids, transforms, scores)
         assert (weights[:, 0] == [0.0, 1.0, 0.0, 0.0]).all()
         assert (weights[:, 1, 3] == 0.0).all()
         # Weight 1 on one row and 0 elsewhere select that row bit for bit.
@@ -401,10 +401,9 @@ class TestAttendHeads:
         ((4, 2), [[0, 1]], None, [(3, 2), (3, 2)], [(3,)]),      # one score vector short
         ((4, 2), [[0, 1]], None, [], []),                        # no heads
         ((4, 2), [[0, 4]], None, [(3, 2)], [(3,)]),              # index past the table
-        ((4, 2), [[0, -1]], None, [(3, 2)], [(3,)]),             # negative index
+        ((4, 2), [[0, -2]], None, [(3, 2)], [(3,)]),             # index below -1
         ((4, 2), [0, 1], None, [(3, 2)], [(3,)]),                # index is not (B, R)
         ((4, 2), np.zeros((1, 0)), None, [(3, 2)], [(3,)]),      # no entries
-        ((4, 2), [[0, 1]], [[True]], [(3, 2)], [(3,)]),          # mask shape differs
         ((4, 2), [[0, 1], [2, 3]], [[True, False], [False, False]],
          [(3, 2)], [(3,)]),                                      # a row with no valid entry
     ])
@@ -412,8 +411,8 @@ class TestAttendHeads:
                                 score_shapes):
         g = Graph()
         with pytest.raises(ShapeError, match="attend_heads"):
-            attend_heads(_leaf(g, np.ones(table_shape)), ids,
-                         None if valid is None else np.array(valid),
+            attend_heads(_leaf(g, np.ones(table_shape)),
+                         padded(ids, valid),
                          [_leaf(g, np.ones(s)) for s in transform_shapes],
                          [_leaf(g, np.ones(s)) for s in score_shapes])
 
@@ -428,7 +427,6 @@ class TestErrors:
 
     @pytest.mark.parametrize("table_shape,ids,filter_shapes,bias_shapes", [
         ((4, 2), [1, 2, 3], [(2, 4)], [(2,)]),           # ids are not (B, T)
-        ((4, 2), [[1, 2]], [(2, 6)], [(2,)]),            # fewer positions than the window
         ((4, 2), [[1, 4, 2]], [(2, 4)], [(2,)]),         # id past the table
         ((4, 2), [[1, -2, 2]], [(2, 4)], [(2,)]),        # id below -1
         ((4, 2), [[1, 2, 3]], [(2, 5)], [(2,)]),         # filter is not (d, n * d)
@@ -658,7 +656,7 @@ class TestFiniteDifferences:
         def build(graph, leaves):
             # A weighted sum of squares of the unstacked selections gives
             # every selected entry its own gradient.
-            out, _ = attend_heads(leaves["table"], ids, valid,
+            out, _ = attend_heads(leaves["table"], padded(ids, valid),
                                   [leaves[f"transform{i}"] for i in range(heads)],
                                   [leaves[f"score{i}"] for i in range(heads)])
             joined = concat_rows(unstack(out), axis=-1)
