@@ -411,12 +411,14 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
     rows, width = table.shape if table.ndim == 2 else (0, 0)
     orders = tuple(f.size // max(width * width, 1) for f in filters)
     # The id check is one pass: -1 becomes 0 and a lower id a huge unsigned one.
-    if (slots.ndim != 2 or not filters or len(filters) != len(biases)
+    # Every text reads row 0 once its ids are widened, so the table needs it.
+    if (slots.ndim != 2 or not filters or len(filters) != len(biases) or rows == 0
             or any(n < 1 or f.shape != (width, n * width) or b.shape != (width,)
                    for f, b, n in zip(filters, biases, orders))
             or slots.size and (slots + 1).view(np.uintp).max() > rows):
         raise ShapeError("pool_windows", f"filters and biases must fit table {table.shape},"
-                                         f" and ids {slots.shape} must be its rows or -1")
+                                         f" and ids {slots.shape} must be its rows or -1,"
+                                         f" which reads row 0, the pad row")
     if slots.shape[1] < max(orders):
         slots = np.hstack([slots, np.full((len(slots), max(orders) - slots.shape[1]), -1)])
     batch, positions = slots.shape

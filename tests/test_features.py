@@ -19,7 +19,7 @@ from mvnet.features import (
     project,
     tokenize,
 )
-from mvnet.numeric import Graph, mul, pool_windows, sum_all
+from mvnet.numeric import Graph, ShapeError, mul, pool_windows, sum_all
 
 
 class TestTokenize:
@@ -237,6 +237,14 @@ class TestNgramFeatures:
                 padded = np.vstack([rows] + [pad] * (order - 2)).reshape(-1)
                 expected = np.tanh(weight @ padded + bias)
             np.testing.assert_allclose(vector, expected, rtol=1e-12)
+
+    def test_short_text_without_pad_row_rejected(self, rng):
+        # Widened to the widest window, the text reads row 0, the pad row,
+        # which an empty table lacks.
+        g = Graph()
+        filters = make_bank(g, 2, rng)
+        with pytest.raises(ShapeError, match="pad row"):
+            ngram_features(g.tensor(np.zeros((0, 2))), filters, np.array([[-1]]))
 
     @settings(max_examples=40, deadline=None)
     @given(batch=st.integers(min_value=1, max_value=4),

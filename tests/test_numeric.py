@@ -433,6 +433,8 @@ class TestErrors:
         ((4, 2), [[1, 2, 3]], [(2, 4)], [(3,)]),         # bias does not match d
         ((4, 2), [[1, 2, 3]], [(2, 4), (2, 6)], [(2,)]),  # one bias per filter
         ((4,), [[1, 2, 3]], [(2, 4)], [(2,)]),           # table is not rows
+        ((4, 2), [[1, 2, 3]], [], []),                   # no filters
+        ((0, 2), [[-1, -1]], [(2, 4)], [(2,)]),          # no pad row for -1
     ])
     def test_pool_windows_rejects_bad_shapes(self, table_shape, ids, filter_shapes,
                                              bias_shapes):
