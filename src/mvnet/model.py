@@ -33,6 +33,7 @@ from .features import (  # noqa: F401
     NGRAM_ORDERS,
     Vocabulary,
     augment_features,
+    init_embeddings,
     ngram_features,
     project,
 )
@@ -181,24 +182,21 @@ def parameter_layout(config: TrainConfig, vocab_size: int, num_classes: int,
 
 
 def init_parameters(config: TrainConfig, vocab_size: int, num_classes: int,
-                    rng: np.random.Generator,
-                    embedding: np.ndarray | None = None,
+                    rng: np.random.Generator, embedding: np.ndarray,
                     ) -> "OrderedDict[str, np.ndarray]":
     """All learnable arrays, keyed by name, in :func:`parameter_layout` order.
 
-    Weight matrices draw uniform from [-r, r] with r = sqrt(6 / (fan_in +
-    fan_out)); biases start at zero; a missing embedding table is drawn
-    uniform from [-0.05, 0.05].
+    The embedding table is a copy of ``embedding``. Weight matrices draw
+    uniform from [-r, r] with r = sqrt(6 / (fan_in + fan_out)); biases start
+    at zero.
     """
     params: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for name, shape, init in parameter_layout(config, vocab_size, num_classes):
-        if init == "embedding" and embedding is not None:
+        if init == "embedding":
             embedding = np.ascontiguousarray(embedding, dtype=np.float64)
             if embedding.shape != shape:
                 raise ValueError(f"embedding shape {embedding.shape} does not match {shape}")
             params[name] = embedding.copy()
-        elif init == "embedding":
-            params[name] = rng.uniform(-0.05, 0.05, size=shape)
         elif init == "matrix":
             params[name] = _init_matrix(rng, *shape)
         elif init == "vector":
@@ -226,6 +224,8 @@ class MvnModel:
     def create(cls, config: TrainConfig, vocab: Vocabulary, num_classes: int,
                rng: np.random.Generator,
                embedding: np.ndarray | None = None) -> "MvnModel":
+        if embedding is None:
+            embedding = init_embeddings(vocab, config.embed_dim, rng)
         params = init_parameters(config, len(vocab), num_classes, rng, embedding)
         return cls(config, vocab, num_classes, params)
 

@@ -378,11 +378,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 @lru_cache(maxsize=8)
 def _tap_layout(orders: tuple[int, ...]):
-    """The tap count, the orders, each filter's first tap, each tap's filter
-    group[t] and window offset shift[t], and ``group``'s (K, taps) indicator."""
+    """The tap count, the orders, each filter's first tap, and each tap's
+    filter group[t] and window offset shift[t]."""
     group = np.repeat(np.arange(len(orders)), orders)
     layout = (np.array(orders), np.cumsum(orders) - orders, group,
-              np.array([j for n in orders for j in range(n)]), np.eye(len(orders))[:, group])
+              np.array([j for n in orders for j in range(n)]))
     for array in layout:
         array.flags.writeable = False
     return (len(group), *layout)
@@ -402,8 +402,10 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
     b's pool under filter k.
 
     Each filter's (d, d) block per window offset (tap) multiplies the table
-    once. Only the first maximal window of each text, filter and channel,
-    found in backward, gets a gradient, so scoring never looks for it.
+    once; a window adds its taps' product rows in tap order, and tanh runs
+    on each channel's largest sum alone. Only the first window with that
+    sum, per text, filter and channel, gets a gradient; backward finds it,
+    so scoring never looks for it.
     """
     inputs = (table, *filters, *biases)
     graph = _graph_of("pool_windows", *inputs)
@@ -424,8 +426,8 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
     batch, positions = slots.shape
     lengths = (slots >= 0).sum(axis=1)
     slots = np.maximum(slots, 0)
-    taps, order, starts, group, shift, member = _tap_layout(orders)
-    # Q's row t * U + u is table row u through tap t's block; first taps add the bias.
+    taps, order, starts, group, shift = _tap_layout(orders)
+    # Q[t] is the table through tap t's block; first taps add the bias.
     q = np.empty((taps, rows, width))
     for f, b, n, start in zip(filters, biases, orders, starts):
         np.matmul(table.value, f.value.reshape(width, n, width).transpose(1, 2, 0),
@@ -435,19 +437,25 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
     # Every filter slides over the narrowest one's windows; those past its
     # own last window read the last position and are masked out.
     windows = positions - min(orders) + 1
-    reads = (slots.T[np.minimum(shift[:, None] + np.arange(windows), positions - 1)]
-             + (rows * np.arange(taps))[:, None, None])
-    # The indicator product sums each filter's taps: y is (K, windows, B, d).
-    y = np.tanh((member @ np.take(q.reshape(-1, width), reads.reshape(taps, -1), axis=0)
-                 .reshape(taps, -1)).reshape(len(orders), windows, batch, width))
-    y[np.arange(windows)[:, None] > np.maximum(lengths - order[:, None], 0)[:, None]] = -np.inf
-    out = y.max(axis=1).reshape(-1, width)
+    reads = slots.T[np.minimum(np.arange(max(orders))[:, None] + np.arange(windows),
+                               positions - 1)]
+    # z[k] adds filter k's taps in tap order. The id check proved every slot
+    # in range, so mode="clip" never clips; it lets take fill out= unbuffered.
+    z = np.empty((len(orders), windows, batch, width))
+    scratch = np.empty((windows, batch, width))
+    for zk, n, start in zip(z, orders, starts.tolist()):
+        q[start].take(reads[0], axis=0, out=zk, mode="clip")
+        for j in range(1, n):
+            zk += q[start + j].take(reads[j], axis=0, out=scratch, mode="clip")
+    z[np.arange(windows)[:, None] > np.maximum(lengths - order[:, None], 0)[:, None]] = -np.inf
+    peak = z.max(axis=1)
+    out = np.tanh(peak)  # tanh is non-decreasing, so this is the largest response
 
     def push(grad):
-        # First max per channel: a deterministic subgradient.
-        winner = np.argmax(y, axis=1)
-        top = np.take_along_axis(y, winner[:, None], axis=1)[:, 0]
-        dz = grad.reshape(top.shape) * (1.0 - top * top)
+        # The first window at the peak, a deterministic subgradient, has the largest countdown.
+        countdown = np.arange(windows, 0, -1, dtype=np.min_scalar_type(windows))
+        winner = windows - ((z == peak[:, None]) * countdown[:, None, None]).max(axis=1)
+        dz = grad.reshape(out.shape) * (1.0 - out * out)
         for bias, part in zip(biases, dz.sum(axis=1)):
             _accum(bias, part, own=True)
         # Each tap of a winning window adds to Q's gradient at its text's
@@ -462,7 +470,7 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
         for f, start, n in zip(filters, starts, orders):
             _accum(f, dfilters[start * width:(start + n) * width].reshape(width, -1), own=True)
 
-    return graph._record("pool_windows", out, inputs, push)
+    return graph._record("pool_windows", out.reshape(-1, width), inputs, push)
 
 
 def attend_heads(table: Tensor, row_index, transforms: Sequence[Tensor],

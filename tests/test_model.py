@@ -22,6 +22,7 @@ from mvnet.features import (
     Vocabulary,
     augment_features,
     build_vocab,
+    init_embeddings,
     ngram_features,
     project,
 )
@@ -147,11 +148,23 @@ class TestInitialization:
     def test_same_rng_reproduces_parameters(self):
         config = TrainConfig(views=3, view_dim=4, embed_dim=5, seed=0)
         vocab = build_vocab([WORDS])
-        a = init_parameters(config, len(vocab), 3, np.random.default_rng(9))
-        b = init_parameters(config, len(vocab), 3, np.random.default_rng(9))
+        rngs = np.random.default_rng(9), np.random.default_rng(9)
+        a, b = (init_parameters(config, len(vocab), 3, rng,
+                                init_embeddings(vocab, config.embed_dim, rng)) for rng in rngs)
         assert list(a) == list(b)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    def test_create_draws_a_missing_table_with_init_embeddings(self):
+        # The table comes first from the stream, so every later draw is the
+        # one a caller who drew the table itself would get.
+        model = make_model()
+        rng = np.random.default_rng(17)
+        table = init_embeddings(model.vocab, model.config.embed_dim, rng)
+        supplied = MvnModel.create(model.config, model.vocab, model.num_classes, rng, table)
+        assert list(model.params) == list(supplied.params)
+        for name, array in model.params.items():
+            assert array.tobytes() == supplied.params[name].tobytes()
 
     def test_supplied_embedding_copied_not_aliased(self):
         config = TrainConfig(views=2, view_dim=4, embed_dim=3)

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvnet.model import attention_scores, attention_weights, select
@@ -34,6 +34,7 @@ from mvnet.numeric import (
     tanh_ew,
     transpose,
 )
+import reference
 from reference import padded, unfold, unstack
 
 def _leaf(graph, array):
@@ -54,6 +55,35 @@ def _window_pool_loop(table, ids, filters, biases):
                          for p in range(max(length - n, 0) + 1)]
             out.append(np.max(responses, axis=0))
     return np.array(out)
+
+
+def _pool_results(op, table, ids, filters, biases, weights):
+    """``op``'s pooled rows and the gradients of the table, every filter and
+    every bias under the loss sum(weights * pooled), each on a fresh graph."""
+    g = Graph()
+    leaves = [_leaf(g, table), *(_leaf(g, f) for f in filters), *(_leaf(g, b) for b in biases)]
+    out = op(leaves[0], ids, leaves[1:1 + len(filters)], leaves[1 + len(filters):])
+    g.backward(sum_all(mul(out, g.tensor(weights))))
+    return [out.value, *(leaf.grad for leaf in leaves)]
+
+
+def _assert_same_bytes(results, expected):
+    assert len(results) == len(expected)
+    for got, want in zip(results, expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def pool_batches(draw):
+    """A batch for pool_windows: B texts of up to T positions, each text's
+    rows then -1, over a table of 2-8 rows (so windows repeat), and 2-4
+    filters of unsorted orders up to T + 3, some wider than every text."""
+    batch, positions = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rows, width = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    orders = draw(st.lists(st.integers(1, positions + 3), min_size=2, max_size=4))
+    lengths = draw(st.lists(st.integers(0, positions), min_size=batch, max_size=batch))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return batch, positions, rows, width, orders, lengths, seed
 
 
 def _attention_leaves(graph, rng, rows, width, heads, size=3):
@@ -201,6 +231,32 @@ class TestBackwardOracles:
         np.testing.assert_allclose(table.grad, [[0.0], [slope], [0.0], [0.0]], rtol=1e-15)
         np.testing.assert_allclose(weight.grad, [[0.5 * slope]], rtol=1e-15)
         np.testing.assert_allclose(bias.grad, [slope], rtol=1e-15)
+
+    def test_pool_windows_routes_equal_tanh_to_the_larger_pre_activation(self):
+        # 5.0 and the next double up have the same tanh but different
+        # pre-activations: the gradient goes to the larger one, row 2.
+        above = np.nextafter(5.0, np.inf)
+        assert np.tanh(5.0) == np.tanh(above)
+        g = Graph()
+        table = _leaf(g, [[0.0], [5.0], [above]])
+        weight = _leaf(g, [[1.0]])
+        bias = _leaf(g, [0.0])
+        g.backward(sum_all(pool_windows(table, [[1, 2]], [weight], [bias])))
+        slope = 1.0 - np.tanh(5.0) ** 2
+        np.testing.assert_array_equal(table.grad, [[0.0], [0.0], [slope]])
+        np.testing.assert_array_equal(weight.grad, [[above * slope]])
+
+    @pytest.mark.parametrize("center", [0.0, 1.0, -1.0, 5.0, -5.0, 19.0, -19.0])
+    def test_tanh_is_non_decreasing_over_adjacent_doubles(self, center):
+        # pool_windows takes tanh after the max, which needs tanh(a) <=
+        # tanh(b) for every a <= b, rounding included.
+        below, above = [center], [center]
+        for _ in range(2000):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        run = np.array(below[:0:-1] + above)
+        assert (np.diff(run) > 0).all()
+        assert (np.diff(np.tanh(run)) >= 0).all()
 
     def test_unfold_routes_gradient_to_every_window(self):
         # Order-2 windows of 4 rows: the end rows sit in one window each,
@@ -531,6 +587,52 @@ class TestProperties:
         for block in blocks:
             np.testing.assert_array_equal(stacked.value[start:start + block.shape[0]], block)
             start += block.shape[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool_batches())
+    @example((1, 5, 4, 3, [2, 5, 3], [5], 0))
+    @example((4, 3, 6, 2, [4, 6, 5, 5], [3, 1, 0, 2], 1))
+    def test_pool_windows_matches_the_tap_gather(self, case):
+        # The node against the form that gathered every window's taps and
+        # took tanh before the max, bit for bit in the pooled rows and in
+        # every leaf gradient. Filters scaled to 1 / sqrt(n * d) keep the
+        # pre-activations well inside tanh's range, where two different
+        # windows all but never round to the same tanh; that case follows
+        # a different tie rule, tested on its own above.
+        batch, positions, rows, width, orders, lengths, seed = case
+        # The reference sums taps with an indicator matrix product, which
+        # BLAS adds in tap order as a matrix-matrix product but not as a
+        # matrix-vector one: a lone filter, or one window of one text of
+        # one channel. Those reference sums round by the BLAS kernel, so
+        # a lone filter is checked against its rows beside the others.
+        assume(not (batch == width == 1 and max(positions, *orders) == min(orders)))
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, rows, size=(batch, positions))
+        ids[np.arange(positions) >= np.array(lengths)[:, None]] = -1
+        table = rng.normal(size=(rows, width))
+        filters = [rng.normal(size=(width, n * width)) / np.sqrt(n * width) for n in orders]
+        biases = [rng.normal(size=width) * 0.5 for _ in orders]
+        weights = rng.normal(size=(len(orders) * batch, width))
+        got = _pool_results(pool_windows, table, ids, filters, biases, weights)
+        _assert_same_bytes(got, _pool_results(reference.pool_windows, table, ids, filters,
+                                              biases, weights))
+        g = Graph()
+        for k, (f, b) in enumerate(zip(filters, biases)):
+            alone = pool_windows(g.tensor(table), ids, [g.tensor(f)], [g.tensor(b)]).value
+            assert alone.tobytes() == got[0][k * batch:(k + 1) * batch].tobytes()
+
+    def test_pool_windows_finds_a_winner_past_the_int16_range(self, rng):
+        # 2 ** 15 + 6 positions: a window index past 32,767 must survive in
+        # the winner's integer type. The one largest window sits near the end.
+        positions = 2 ** 15 + 6
+        ids = rng.integers(1, 4, size=(1, positions))
+        ids[0, positions - 3] = 4
+        table = np.array([[0.0], [0.1], [-0.2], [0.3], [0.9]])
+        filters, biases = [np.array([[0.7, 0.4]])], [np.array([0.05])]
+        expected = _pool_results(reference.pool_windows, table, ids, filters, biases, [[1.0]])
+        assert expected[1][4, 0] != 0.0
+        _assert_same_bytes(_pool_results(pool_windows, table, ids, filters, biases, [[1.0]]),
+                           expected)
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=10 ** 6))
