@@ -26,11 +26,12 @@ class LabeledDocument:
 def load_dataset(path, classes: int | None = None) -> tuple[list[LabeledDocument], int]:
     """Parse a dataset file, returning documents and the malformed-line count.
 
-    A line is malformed when it lacks a tab, its label is not a non-negative
-    integer, or its text tokenizes to nothing. Malformed lines are skipped but
-    counted; the whole load aborts when they exceed ``MAX_MALFORMED_FRACTION``
-    of the non-blank lines. Given a model's class count ``classes``, a label
-    at or above it aborts the load, naming the line.
+    A line is malformed when it lacks a tab, its label is not ASCII digits
+    once surrounding whitespace is stripped, or its text tokenizes to
+    nothing. Malformed lines are skipped but counted; the whole load aborts
+    when they exceed ``MAX_MALFORMED_FRACTION`` of the non-blank lines. Given
+    a model's class count ``classes``, a label at or above it aborts the load,
+    naming the line.
     """
     docs: list[LabeledDocument] = []
     malformed = 0
@@ -44,12 +45,14 @@ def load_dataset(path, classes: int | None = None) -> tuple[list[LabeledDocument
             malformed += 1
             continue
         label_text, _, body = line.partition("\t")
-        try:
-            label = int(label_text.strip())
-        except ValueError:
+        label_text = label_text.strip()
+        # int() alone would also take "1_0", "+2", "-0" and non-ASCII digits.
+        if not (label_text.isascii() and label_text.isdigit()):
             malformed += 1
             continue
-        if label < 0:
+        try:
+            label = int(label_text)
+        except ValueError:  # more digits than int() converts from text
             malformed += 1
             continue
         if classes is not None and label >= classes:
@@ -71,10 +74,17 @@ def load_dataset(path, classes: int | None = None) -> tuple[list[LabeledDocument
 
 def save_dataset(path, docs) -> None:
     """Write one ``label<TAB>text`` line per document, replacing ``path``
-    whole or not at all."""
+    whole or not at all. A document that would not load back as written, its
+    label not a non-negative int or its raw text holding a line break,
+    raises ``ValueError`` naming its position and leaves ``path`` as it was."""
     with atomic_open(path) as handle:
-        for doc in docs:
-            handle.write(f"{doc.label}\t{doc.raw}\n")
+        for position, doc in enumerate(docs):
+            label = doc.label
+            if not isinstance(label, int) or isinstance(label, bool) or label < 0:
+                raise ValueError(f"document {position}: label {label!r} is not a non-negative int")
+            if "\n" in doc.raw or "\r" in doc.raw:
+                raise ValueError(f"document {position}: raw text holds a line break")
+            handle.write(f"{label}\t{doc.raw}\n")
 
 
 def num_classes(docs) -> int:

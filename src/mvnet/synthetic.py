@@ -10,7 +10,7 @@ def _make_doc(rng, label: int, noise: list[str], keywords: list[list[str]],
               min_len: int, max_len: int, min_keywords: int, max_keywords: int,
               ) -> LabeledDocument:
     length = int(rng.integers(min_len, max_len + 1))
-    tokens = [noise[int(rng.integers(len(noise)))] for _ in range(length)]
+    tokens = [noise[i] for i in rng.integers(len(noise), size=length).tolist()]
     plant = int(rng.integers(min_keywords, max_keywords + 1))
     for _ in range(plant):
         word = keywords[label][int(rng.integers(len(keywords[label])))]
@@ -50,7 +50,7 @@ def random_label_corpus(size: int = 50, num_classes: int = 4,
     docs = []
     for _ in range(size):
         length = int(rng.integers(min_len, max_len + 1))
-        tokens = [words[int(rng.integers(vocab_size))] for _ in range(length)]
+        tokens = [words[i] for i in rng.integers(vocab_size, size=length).tolist()]
         label = int(rng.integers(num_classes))
         docs.append(LabeledDocument(label=label, tokens=tokens, raw=" ".join(tokens)))
     return docs

@@ -7,6 +7,10 @@ window's taps and took tanh before the max; ``unstack``, ``compose_views``
 and ``stack_views`` are the per-view tape chain that ``numeric.stack_views``
 runs as one node. Their bodies are the ones the package ran. ``padded`` turns the (ids, validity mask) pair that
 ``numeric.attend_heads`` once took into the -1 ids it takes now.
+``_make_doc`` and ``random_label_corpus`` are the synthetic generators as
+they drew each filler token with its own scalar ``rng.integers`` call; the
+package draws a document's filler run in one sized call and must produce
+the same documents.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from mvnet.config import VARIANT_FULL, VARIANT_NO_LINKS
+from mvnet.config import VARIANT_FULL, VARIANT_NO_LINKS, seed_stream
+from mvnet.data import LabeledDocument
 from mvnet.numeric import (ShapeError, Tensor, _accum, _graph_of, concat_rows, linear,
                            require_finite, tanh_ew)
 
@@ -187,3 +192,32 @@ def pool_windows(table: Tensor, ids, filters: Sequence[Tensor],
             _accum(f, dfilters[start * width:(start + n) * width].reshape(width, -1), own=True)
 
     return graph._record("pool_windows", out, inputs, push)
+
+
+def _make_doc(rng, label: int, noise: list[str], keywords: list[list[str]],
+              min_len: int, max_len: int, min_keywords: int, max_keywords: int,
+              ) -> LabeledDocument:
+    length = int(rng.integers(min_len, max_len + 1))
+    tokens = [noise[int(rng.integers(len(noise)))] for _ in range(length)]
+    plant = int(rng.integers(min_keywords, max_keywords + 1))
+    for _ in range(plant):
+        word = keywords[label][int(rng.integers(len(keywords[label])))]
+        tokens.insert(int(rng.integers(len(tokens) + 1)), word)
+    return LabeledDocument(label=label, tokens=tokens, raw=" ".join(tokens))
+
+
+def random_label_corpus(size: int = 50, num_classes: int = 4,
+                        vocab_size: int = 30, min_len: int = 5,
+                        max_len: int = 10, seed: int = 0,
+                        ) -> list[LabeledDocument]:
+    """Documents of random tokens with labels drawn independently of the text;
+    learnable only by memorization."""
+    rng = seed_stream(seed, "data")
+    words = [f"token{i:02d}" for i in range(vocab_size)]
+    docs = []
+    for _ in range(size):
+        length = int(rng.integers(min_len, max_len + 1))
+        tokens = [words[int(rng.integers(vocab_size))] for _ in range(length)]
+        label = int(rng.integers(num_classes))
+        docs.append(LabeledDocument(label=label, tokens=tokens, raw=" ".join(tokens)))
+    return docs
